@@ -43,6 +43,7 @@
 namespace {
 
 using cobalt::bench::FigureHarness;
+using cobalt::placement::ReplicationSpec;
 
 /// One fault profile of the grid. Drop/duplicate apply to every link;
 /// the partition and crash windows are placed inside the churn phase
@@ -222,31 +223,32 @@ int main(int argc, char** argv) {
     config.pmin = pmin;
     config.vmin = vmin;
     config.seed = seed;
-    return cobalt::kv::KvStore({config, 1}, reps);
+    return cobalt::kv::KvStore({config, 1}, ReplicationSpec{reps});
   };
   const auto global_factory = [&](std::uint64_t seed, std::size_t reps) {
     cobalt::dht::Config config;
     config.pmin = pmin;
     config.vmin = 1;
     config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1}, reps);
+    return cobalt::kv::GlobalKvStore({config, 1}, ReplicationSpec{reps});
   };
   const auto ch_factory = [&](std::uint64_t seed, std::size_t reps) {
     return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
-                                 reps);
+                                 ReplicationSpec{reps});
   };
   const auto hrw_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits}, reps);
+    return cobalt::kv::HrwKvStore({seed, grid_bits}, ReplicationSpec{reps});
   };
   const auto jump_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits}, reps);
+    return cobalt::kv::JumpKvStore({seed, grid_bits}, ReplicationSpec{reps});
   };
   const auto maglev_factory = [&](std::uint64_t seed, std::size_t reps) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits}, reps);
+    return cobalt::kv::MaglevKvStore({seed, grid_bits}, ReplicationSpec{reps});
   };
   const auto bounded_factory = [&](std::uint64_t seed, std::size_t reps) {
     return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits}, reps);
+        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
+        ReplicationSpec{reps});
   };
 
   // One (scheme, profile) cell: the recorded churn executed message by

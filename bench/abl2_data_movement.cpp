@@ -156,21 +156,21 @@ int main(int argc, char** argv) {
   // One vnode per node: every DHT handover crosses nodes, so the two
   // movement counters must agree; CH never re-buckets.
   if (enabled("local")) {
-    fig.check(local.migration_stats().keys_moved_across_nodes ==
-                  local.migration_stats().keys_moved_total,
+    fig.check(local.stats().relocation.keys_moved_across_nodes ==
+                  local.stats().relocation.keys_moved_total,
               "local: all movement crosses nodes at one vnode/node");
   }
   if (enabled("ch")) {
-    fig.check(ch.migration_stats().keys_rebucketed == 0,
+    fig.check(ch.stats().relocation.keys_rebucketed == 0,
               "CH never re-buckets keys");
   }
   // The grid-backed schemes report plain relocations only.
   if (enabled("hrw") && enabled("jump") && enabled("maglev") &&
       enabled("bounded-ch")) {
-    fig.check(hrw.migration_stats().keys_rebucketed == 0 &&
-                  jump.migration_stats().keys_rebucketed == 0 &&
-                  maglev.migration_stats().keys_rebucketed == 0 &&
-                  bounded.migration_stats().keys_rebucketed == 0,
+    fig.check(hrw.stats().relocation.keys_rebucketed == 0 &&
+                  jump.stats().relocation.keys_rebucketed == 0 &&
+                  maglev.stats().relocation.keys_rebucketed == 0 &&
+                  bounded.stats().relocation.keys_rebucketed == 0,
               "HRW, jump, maglev and bounded CH never re-bucket keys");
   }
   // Integrity: no keys lost by any enabled store.

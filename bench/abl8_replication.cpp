@@ -34,6 +34,7 @@ namespace {
 
 using cobalt::bench::FigureHarness;
 using cobalt::bench::Series;
+using cobalt::placement::ReplicationSpec;
 
 constexpr std::size_t kMaxReplication = 3;
 
@@ -118,30 +119,32 @@ int main(int argc, char** argv) {
     config.pmin = pmin;
     config.vmin = vmin;
     config.seed = seed;
-    return cobalt::kv::KvStore({config, 1}, k);
+    return cobalt::kv::KvStore({config, 1}, ReplicationSpec{k});
   };
   const auto global_factory = [&](std::uint64_t seed, std::size_t k) {
     cobalt::dht::Config config;
     config.pmin = pmin;
     config.vmin = 1;
     config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1}, k);
+    return cobalt::kv::GlobalKvStore({config, 1}, ReplicationSpec{k});
   };
   const auto ch_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)}, k);
+    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
+                                 ReplicationSpec{k});
   };
   const auto hrw_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits}, k);
+    return cobalt::kv::HrwKvStore({seed, grid_bits}, ReplicationSpec{k});
   };
   const auto jump_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits}, k);
+    return cobalt::kv::JumpKvStore({seed, grid_bits}, ReplicationSpec{k});
   };
   const auto maglev_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits}, k);
+    return cobalt::kv::MaglevKvStore({seed, grid_bits}, ReplicationSpec{k});
   };
   const auto bounded_factory = [&](std::uint64_t seed, std::size_t k) {
     return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits}, k);
+        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
+        ReplicationSpec{k});
   };
 
   // The full matrix, one row per (scheme, k); the CSV gets one series

@@ -36,6 +36,7 @@ namespace {
 
 using cobalt::bench::FigureHarness;
 using cobalt::bench::Series;
+using cobalt::placement::ReplicationSpec;
 
 constexpr std::size_t kMaxReplication = 3;
 
@@ -69,8 +70,8 @@ CellOutcome run_cell(FigureHarness& fig, std::uint64_t tag,
         churn_store, population, cycles, keys, seed);
     // The one-accounting-source invariant: the DES's summed payloads
     // must equal the store's two stats channels bit for bit.
-    const auto reloc = churn_store.relocation_stats();
-    const auto repl = churn_store.replication_stats();
+    const auto reloc = churn_store.stats().relocation;
+    const auto repl = churn_store.stats().replication;
     out.accounting_exact =
         out.accounting_exact &&
         churn.totals.handover_keys_total == reloc.keys_moved_total &&
@@ -142,30 +143,32 @@ int main(int argc, char** argv) {
     config.pmin = pmin;
     config.vmin = vmin;
     config.seed = seed;
-    return cobalt::kv::KvStore({config, 1}, k);
+    return cobalt::kv::KvStore({config, 1}, ReplicationSpec{k});
   };
   const auto global_factory = [&](std::uint64_t seed, std::size_t k) {
     cobalt::dht::Config config;
     config.pmin = pmin;
     config.vmin = 1;
     config.seed = seed;
-    return cobalt::kv::GlobalKvStore({config, 1}, k);
+    return cobalt::kv::GlobalKvStore({config, 1}, ReplicationSpec{k});
   };
   const auto ch_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)}, k);
+    return cobalt::kv::ChKvStore({seed, static_cast<std::size_t>(pmin)},
+                                 ReplicationSpec{k});
   };
   const auto hrw_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::HrwKvStore({seed, grid_bits}, k);
+    return cobalt::kv::HrwKvStore({seed, grid_bits}, ReplicationSpec{k});
   };
   const auto jump_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::JumpKvStore({seed, grid_bits}, k);
+    return cobalt::kv::JumpKvStore({seed, grid_bits}, ReplicationSpec{k});
   };
   const auto maglev_factory = [&](std::uint64_t seed, std::size_t k) {
-    return cobalt::kv::MaglevKvStore({seed, grid_bits}, k);
+    return cobalt::kv::MaglevKvStore({seed, grid_bits}, ReplicationSpec{k});
   };
   const auto bounded_factory = [&](std::uint64_t seed, std::size_t k) {
     return cobalt::kv::BoundedChKvStore(
-        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits}, k);
+        {seed, static_cast<std::size_t>(pmin), epsilon, grid_bits},
+        ReplicationSpec{k});
   };
 
   std::vector<Series> csv_series;

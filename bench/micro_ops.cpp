@@ -34,6 +34,7 @@ namespace {
 
 using cobalt::Dyadic;
 using cobalt::Xoshiro256;
+using cobalt::placement::ReplicationSpec;
 
 void BM_HashFnv1a64(benchmark::State& state) {
   const std::string key(static_cast<std::size_t>(state.range(0)), 'k');
@@ -280,43 +281,43 @@ StoreT make_bench_store(std::uint64_t seed, std::size_t k);
 template <>
 cobalt::kv::KvStore make_bench_store<cobalt::kv::KvStore>(
     std::uint64_t /*seed*/, std::size_t k) {
-  return cobalt::kv::KvStore({config_for(32, 8), 1}, k);
+  return cobalt::kv::KvStore({config_for(32, 8), 1}, ReplicationSpec{k});
 }
 
 template <>
 cobalt::kv::GlobalKvStore make_bench_store<cobalt::kv::GlobalKvStore>(
     std::uint64_t /*seed*/, std::size_t k) {
-  return cobalt::kv::GlobalKvStore({config_for(32, 1), 1}, k);
+  return cobalt::kv::GlobalKvStore({config_for(32, 1), 1}, ReplicationSpec{k});
 }
 
 template <>
 cobalt::kv::ChKvStore make_bench_store<cobalt::kv::ChKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::ChKvStore({seed, 32}, k);
+  return cobalt::kv::ChKvStore({seed, 32}, ReplicationSpec{k});
 }
 
 template <>
 cobalt::kv::HrwKvStore make_bench_store<cobalt::kv::HrwKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::HrwKvStore({seed, 12}, k);
+  return cobalt::kv::HrwKvStore({seed, 12}, ReplicationSpec{k});
 }
 
 template <>
 cobalt::kv::JumpKvStore make_bench_store<cobalt::kv::JumpKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::JumpKvStore({seed, 12}, k);
+  return cobalt::kv::JumpKvStore({seed, 12}, ReplicationSpec{k});
 }
 
 template <>
 cobalt::kv::MaglevKvStore make_bench_store<cobalt::kv::MaglevKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::MaglevKvStore({seed, 12}, k);
+  return cobalt::kv::MaglevKvStore({seed, 12}, ReplicationSpec{k});
 }
 
 template <>
 cobalt::kv::BoundedChKvStore make_bench_store<cobalt::kv::BoundedChKvStore>(
     std::uint64_t seed, std::size_t k) {
-  return cobalt::kv::BoundedChKvStore({seed, 32, 0.25, 12}, k);
+  return cobalt::kv::BoundedChKvStore({seed, 32, 0.25, 12}, ReplicationSpec{k});
 }
 
 std::string bench_key(std::uint64_t i) {
@@ -370,7 +371,7 @@ void BM_StoreMembershipEvents(benchmark::State& state) {
     }
     state.ResumeTiming();
     for (int n = 0; n < kJoins; ++n) store.add_node();
-    benchmark::DoNotOptimize(store.replication_stats().rereplication_passes);
+    benchmark::DoNotOptimize(store.stats().replication.rereplication_passes);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kJoins);

@@ -86,7 +86,7 @@ StepReport serve_step(StoreT& cache, ZipfUrls& workload,
       loads.size() > 1 ? cobalt::relative_stddev(loads) : 0.0;
 
   const std::uint64_t relocated_total =
-      cache.migration_stats().keys_moved_across_nodes;
+      cache.stats().relocation.keys_moved_across_nodes;
   report.relocated = relocated_total - relocated_before;
   relocated_before = relocated_total;
   return report;

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   // backend enrolls the difference in vnodes and its share follows.
   const std::size_t before_vnodes = store.backend().vnodes_of(ids[0]);
   const std::uint64_t moved_before =
-      store.migration_stats().keys_moved_across_nodes;
-  store.backend().resize_node(ids[0], 4.0);
+      store.stats().relocation.keys_moved_across_nodes;
+  store.resize_node(ids[0], 4.0);
   auto upgraded = capacities;
   upgraded[0] = 4.0;
   std::cout << "\n>>> node 0 upgrades 1x -> 4x: enrolling "
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
             << " more vnodes\n\n";
   print_shares(store, upgraded, key_count);
   std::cout << "\nkeys that crossed nodes for the upgrade: "
-            << store.migration_stats().keys_moved_across_nodes - moved_before
+            << store.stats().relocation.keys_moved_across_nodes - moved_before
             << " (of " << key_count << ")\n"
             << "sigma(Qv) after upgrade: "
             << cobalt::format_fixed(store.backend().dht().sigma_qv() * 100, 2)

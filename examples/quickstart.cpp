@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
               << "]: greeting = " << store.get("greeting").value_or("<lost>")
               << ", answer = " << store.get("answer").value_or("<lost>")
               << ", keys moved across nodes: "
-              << store.migration_stats().keys_moved_across_nodes << "\n";
+              << store.stats().relocation.keys_moved_across_nodes << "\n";
   };
   cobalt::kv::KvStore dht_store({config, 1});
   cobalt::kv::ChKvStore ch_store({config.seed, 32});

@@ -36,17 +36,14 @@
 // not be summed blindly):
 //   * stats().relocation  - placement::MigrationStats fed by the
 //     backend's RelocationObserver events: keys whose *primary* owner
-//     changed. relocation_stats() / migration_stats() remain as
-//     deprecated wrappers.
-//     Events are *batched*: the observer callbacks record only the
-//     event ranges, and the keys inside them are counted in one
-//     deferred pass (at the next repair, mutation or stats read -
-//     always before the resident keys can change, so the totals are
-//     exactly the seed's).
+//     changed. Events are *batched*: the observer callbacks record
+//     only the event ranges, and the keys inside them are counted in
+//     one deferred pass at the start of the event's repair - before
+//     the resident keys can change, so the totals are exactly the
+//     seed's.
 //   * stats().replication - ReplicationStats maintained by the store's
 //     re-replication passes: key copies created to repair replica
-//     sets, and keys lost to correlated failures (replication_stats()
-//     is the deprecated wrapper). At k == 1 the
+//     sets, and keys lost to correlated failures. At k == 1 the
 //     re-replication mass tracks primary relocation (the only copy IS
 //     the primary); at k > 1 it additionally counts fallback repair,
 //     and a primary handover to a node that already held a fallback
@@ -68,21 +65,22 @@
 // actually examined (against repair_shards_total as the denominator),
 // so "an event that relocated nothing repairs nothing" is observable.
 //
-// Membership must change through the store (add_node / remove_node /
-// fail_nodes) for the replication bookkeeping to stay aligned;
-// mutating membership through backend() directly bypasses the
-// re-replication pass (relocation accounting still works, as before) -
-// the store then falls back from the per-shard fast paths of
-// keys_per_node()/for_each_on_node() to per-bucket owner derivation
-// until the next repair pass realigns the materialized sets.
+// Membership changes only through the store: add_node, remove_node,
+// fail_nodes, resize_node (the DHT adapters' enrollment change) and
+// set_topology all run one bracketed sequence (membership_event()),
+// and backend() is read-only. Every observer callback therefore
+// arrives inside a store membership call, and every call leaves the
+// accounting counted and the materialized replica sets aligned with
+// the backend.
 //
 // Threading model (opt-in). By default the store is the serial data
 // structure above: no locks, no atomics on any hot path. Attaching a
 // worker pool (set_thread_pool()) switches it into concurrent mode:
-//   * backend_mutex_ (a shared_mutex): membership events hold it
-//     exclusively end to end (mutation, dirty collection, repair,
-//     sink brackets); every call that reads the backend or flushes
-//     pending accounting holds it shared (put, erase, owner_of,
+//   * backend_mutex_ (a shared_mutex): membership events - driven
+//     from one thread at a time - hold it exclusively end to end
+//     (mutation, dirty collection, relocation flush, repair, sink
+//     brackets); every call that reads the backend or changes the
+//     resident keys holds it shared (put, erase, owner_of,
 //     read_node_of, the per-node accounting surfaces, stats
 //     snapshots). Point gets and scans never touch it.
 //   * ShardIndex locks: one structure lock over the shard tiling plus
@@ -121,15 +119,10 @@
 // by one thread produces bit-identical results with and without a
 // pool. Detaching (set_thread_pool(nullptr)) restores the serial
 // mode; both switches require the store to be externally quiescent.
-// In concurrent mode membership must go through the store (direct
-// backend() mutation is unsupported there), and the serial const-ref
-// stats accessors should be read quiescently - use the *_snapshot()
-// surfaces from racing threads.
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -209,13 +202,11 @@ struct ReplicationStats {
 
 /// One coherent view of both movement-accounting channels, taken
 /// under the accounting lock by Store::stats(): the relocation
-/// channel (primary-owner moves; migration_stats() was its historical
-/// alias) and the re-replication channel in a single read, so the two
-/// can be compared without a racing mutation landing between two
-/// separate accessor calls.
+/// channel (primary-owner moves) and the re-replication channel in a
+/// single read, so the two can be compared without a racing mutation
+/// landing between two separate reads.
 struct StatsSnapshot {
-  /// Keys whose primary owner changed (the relocation channel; also
-  /// the historical "migration" alias).
+  /// Keys whose primary owner changed (the relocation channel).
   placement::MigrationStats relocation;
   /// Repair copies, correlated-failure losses, cross-rack traffic
   /// (the re-replication channel).
@@ -261,18 +252,6 @@ class Store final : private placement::RelocationObserver {
                  hashing::Algorithm algorithm = hashing::Algorithm::kXxh64)
       : Store(std::move(options), placement::ReplicationSpec{}, algorithm) {}
 
-  /// A replicated store with a bare factor: every key is held by
-  /// `replication` distinct nodes (clamped to the live node count
-  /// while the cluster is smaller than that), spread policy kNone.
-  /// Thin wrapper kept for the pre-topology callers; new code should
-  /// pass a placement::ReplicationSpec.
-  Store(Options options, std::size_t replication,  // raw-k-ok: legacy wrapper
-        hashing::Algorithm algorithm = hashing::Algorithm::kXxh64)
-      : Store(std::move(options),
-              placement::ReplicationSpec{replication,
-                                         placement::SpreadPolicy::kNone},
-              algorithm) {}
-
   /// A replicated store under a full ReplicationSpec: k copies per
   /// key, spread across the failure domains of the topology attached
   /// with set_topology() per `spec.spread` (kNone ignores topology and
@@ -292,11 +271,6 @@ class Store final : private placement::RelocationObserver {
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  /// The configured replication factor k (replication_spec().k).
-  [[nodiscard]] std::size_t replication() const {  // raw-k-ok: legacy accessor
-    return replication_;
-  }
-
   /// The configured spread policy (kNone unless constructed with a
   /// ReplicationSpec asking for rack/zone spread).
   [[nodiscard]] placement::SpreadPolicy spread() const { return spread_; }
@@ -315,20 +289,20 @@ class Store final : private placement::RelocationObserver {
   /// attaching before the first node. Requires external quiescence in
   /// concurrent mode, like every reconfiguration surface here.
   void set_topology(const cluster::Topology* topology) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    topology_ = topology;
-    backend_.set_topology(topology);
+    const auto attach = [&](Backend& backend, std::size_t) {
+      topology_ = topology;
+      backend.set_topology(topology);
+      return false;  // no dirty report: the spread walk moved everywhere
+    };
     if (spread_ == placement::SpreadPolicy::kNone || replication_ == 1 ||
         backend_.node_count() == 0) {
-      return;  // placement is unchanged; nothing to repair
+      // Placement is unchanged: nothing to repair, no event to report.
+      const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
+      attach(backend_, 0);
+      return;
     }
-    if (event_sink_ != nullptr) {
-      flush_relocations();  // stray batches are not this event's
-      event_sink_->on_membership_begin(MembershipEventKind::kJoin);
-    }
-    full_dirty_ = true;
-    rereplicate(/*crash=*/false);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
+    membership_event(MembershipEventKind::kJoin, 1, attach,
+                     /*full_repair=*/true);
   }
 
   /// The attached topology (null while detached).
@@ -350,78 +324,78 @@ class Store final : private placement::RelocationObserver {
   /// True while a pool is attached (the concurrent mode is engaged).
   [[nodiscard]] bool concurrent() const { return concurrent_; }
 
-  /// Cluster membership. Every completed change is followed by one
+  /// Cluster membership. Every change is followed by one
   /// re-replication pass that repairs the materialized replica sets
-  /// (see replication_stats()). remove_node is a *graceful drain*: it
+  /// (see stats().replication). remove_node is a *graceful drain*: it
   /// returns false when the scheme refuses the removal (the node
-  /// stays; see placement/backend.hpp), and never loses keys.
+  /// stays; see placement/backend.hpp), and never loses keys. A
+  /// refused drain may still have rebalanced internally (the local
+  /// approach's aborted decommission), so its repair pass runs too.
   placement::NodeId add_node(double capacity = 1.0) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    if (event_sink_ != nullptr) {
-      // Batches still pending from direct backend() mutation belong to
-      // an implicit event, not to this bracket: flush them to the sink
-      // before opening it (the counts are unchanged by flushing early;
-      // no resident key can have moved since, every mutation flushes).
-      flush_relocations();
-      event_sink_->on_membership_begin(MembershipEventKind::kJoin);
-    }
-    placement::NodeId id;
-    {
-      const MembershipScope scope(in_membership_);
-      id = backend_.add_node(capacity);
-    }
-    collect_dirty();
-    rereplicate(/*crash=*/false);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
+    placement::NodeId id = placement::kInvalidNode;
+    membership_event(MembershipEventKind::kJoin, 1,
+                     [&](Backend& backend, std::size_t) {
+                       id = backend.add_node(capacity);
+                       return true;
+                     });
     return id;
   }
   bool remove_node(placement::NodeId node) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    if (event_sink_ != nullptr) {
-      flush_relocations();  // stray batches are not this drain's (see add_node)
-      event_sink_->on_membership_begin(MembershipEventKind::kDrain);
-    }
-    bool removed;
-    {
-      const MembershipScope scope(in_membership_);
-      removed = backend_.remove_node(node);
-    }
-    // A refused drain may still have rebalanced internally (the local
-    // approach's aborted decommission), so the dirty collection and
-    // the pass run either way.
-    collect_dirty();
-    rereplicate(/*crash=*/false);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
+    bool removed = false;
+    membership_event(MembershipEventKind::kDrain, 1,
+                     [&](Backend& backend, std::size_t) {
+                       removed = backend.remove_node(node);
+                       return true;
+                     });
     return removed;
   }
 
   /// Removes `nodes` as one *correlated crash*: all removals are
   /// applied before the single re-replication pass, so keys whose
   /// whole materialized replica set was inside the batch are counted
-  /// lost (replication_stats().keys_lost). Refused removals (the local
+  /// lost (stats().replication.keys_lost). Refused removals (the local
   /// approach) leave the node alive - its copies still count as
   /// survivors - as do entries the backend cannot remove at all
   /// (already-dead ids, duplicates, or a batch that would empty the
   /// cluster: the last live node always survives). Returns the number
   /// of removals that completed; the repair pass runs regardless.
   std::size_t fail_nodes(std::span<const placement::NodeId> nodes) {
-    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
-    if (event_sink_ != nullptr) {
-      flush_relocations();  // stray batches are not this crash's (see add_node)
-      event_sink_->on_membership_begin(MembershipEventKind::kCrash);
-    }
     std::size_t failed = 0;
-    for (const placement::NodeId node : nodes) {
-      if (backend_.node_count() < 2 || !backend_.is_live(node)) continue;
-      {
-        const MembershipScope scope(in_membership_);
-        if (backend_.remove_node(node)) ++failed;
-      }
-      collect_dirty();
-    }
-    rereplicate(/*crash=*/true);
-    if (event_sink_ != nullptr) event_sink_->on_membership_end();
+    membership_event(MembershipEventKind::kCrash, nodes.size(),
+                     [&](Backend& backend, std::size_t i) {
+                       if (backend.node_count() < 2 ||
+                           !backend.is_live(nodes[i])) {
+                         return false;
+                       }
+                       if (backend.remove_node(nodes[i])) ++failed;
+                       return true;
+                     });
     return failed;
+  }
+
+  /// Enrollment-level change (paper section 2.1.2) for the backends
+  /// that support it (the DHT adapters): grows or drains `node`'s
+  /// vnodes until they match `capacity`, reported as a kJoin event
+  /// when the enrollment grows and a kDrain otherwise. Returns false
+  /// when the scheme refuses a drain partway (the node keeps the
+  /// enrollment it reached; the repair pass runs either way).
+  bool resize_node(placement::NodeId node, double capacity)
+    requires requires(Backend& b, placement::NodeId n, double c) {
+      b.resize_node(n, c);
+    }
+  {
+    // Membership calls run one at a time (the threading contract), so
+    // the enrollment read here is the one the event starts from.
+    const MembershipEventKind kind =
+        backend_.target_vnodes(capacity) > backend_.vnodes_of(node)
+            ? MembershipEventKind::kJoin
+            : MembershipEventKind::kDrain;
+    bool resized = false;
+    membership_event(kind, 1, [&](Backend& backend, std::size_t) {
+      resized = backend.resize_node(node, capacity);
+      return true;
+    });
+    return resized;
   }
 
   /// Inserts or updates; returns true when the key was new. The write
@@ -431,7 +405,6 @@ class Store final : private placement::RelocationObserver {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
     COBALT_REQUIRE(backend_.node_count() >= 1,
                    "the store needs at least one node before writes");
-    flush_relocations();  // pending events count pre-mutation keys
     const HashIndex h = hash_key(key);
     std::uint64_t writes = 0;
     bool inserted = false;
@@ -487,8 +460,9 @@ class Store final : private placement::RelocationObserver {
 
   /// Deletes; returns true when the key existed.
   bool erase(const std::string& key) {
+    // The shared hold keeps a membership event's repair pass - which
+    // plans against the shard tiling - from racing a bucket removal.
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    flush_relocations();  // pending events count pre-mutation keys
     const HashIndex h = hash_key(key);
     if (!concurrent_) {
       const ShardIndex::StructureExclusiveLock structure(index_,
@@ -640,33 +614,24 @@ class Store final : private placement::RelocationObserver {
 
   /// Keys currently resident per *primary* node (index = NodeId;
   /// departed nodes report 0). Replica copies are not counted; see
-  /// replica_copies_per_node() for the serving footprint. While the
-  /// materialized sets are aligned (always, unless membership was
-  /// mutated through backend() directly) this is one cached count per
-  /// shard; the fallback re-derives the owner per bucket.
+  /// replica_copies_per_node() for the serving footprint. Rank 0 of
+  /// the materialized sets is the primary (every membership call ends
+  /// aligned), so this is one cached count per uniform shard.
   [[nodiscard]] std::vector<std::size_t> keys_per_node() const {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
     const ShardIndex::StructureSharedLock structure(index_, concurrent_);
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
     std::vector<std::size_t> counts(backend_.node_slot_count(), 0);
-    if (aligned_) {
-      for (const ShardIndex::Shard& s : index_.shards()) {
-        if (s.buckets.empty()) continue;
-        if (s.override_count == 0) {  // one arc, one bounds check
-          counts.at(s.replicas.front()) +=
-              static_cast<std::size_t>(s.entry_count);
-          continue;
-        }
-        for (const ShardIndex::Bucket& bucket : s.buckets) {
-          counts.at(effective_replicas(s, bucket).front()) +=
-              bucket.entries.size();
-        }
-      }
-      return counts;
-    }
     for (const ShardIndex::Shard& s : index_.shards()) {
+      if (s.buckets.empty()) continue;
+      if (s.override_count == 0) {  // one arc, one bounds check
+        counts.at(s.replicas.front()) +=
+            static_cast<std::size_t>(s.entry_count);
+        continue;
+      }
       for (const ShardIndex::Bucket& bucket : s.buckets) {
-        counts.at(backend_.owner_of(bucket.hash)) += bucket.entries.size();
+        counts.at(effective_replicas(s, bucket).front()) +=
+            bucket.entries.size();
       }
     }
     return counts;
@@ -715,10 +680,9 @@ class Store final : private placement::RelocationObserver {
     }
   }
 
-  /// Visits the pairs a single node is *primary* for. While the
-  /// materialized sets are aligned, shards whose range the backend
-  /// maps entirely to other nodes are skipped without touching their
-  /// buckets.
+  /// Visits the pairs a single node is *primary* for. Shards whose
+  /// range the materialized sets map entirely to other nodes are
+  /// skipped without touching their buckets.
   void for_each_on_node(
       placement::NodeId node,
       const std::function<void(const std::string& key,
@@ -729,14 +693,11 @@ class Store final : private placement::RelocationObserver {
     const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
     for (const ShardIndex::Shard& s : index_.shards()) {
       if (s.buckets.empty()) continue;
-      const bool uniform = aligned_ && s.override_count == 0;
+      const bool uniform = s.override_count == 0;
       if (uniform && s.replicas.front() != node) continue;  // skip the shard
       for (const ShardIndex::Bucket& bucket : s.buckets) {
-        if (!uniform) {
-          const placement::NodeId owner =
-              aligned_ ? effective_replicas(s, bucket).front()
-                       : backend_.owner_of(bucket.hash);
-          if (owner != node) continue;
+        if (!uniform && effective_replicas(s, bucket).front() != node) {
+          continue;
         }
         for (const ShardIndex::Entry& entry : bucket.entries) {
           visit(entry.first, entry.second);
@@ -784,50 +745,15 @@ class Store final : private placement::RelocationObserver {
     return static_cast<std::size_t>(index_.count_range(first, last));
   }
 
-  /// Both movement-accounting channels in one coherent read: pending
-  /// relocation events are flushed, then both structs are copied under
-  /// a single accounting hold - safe from any thread in concurrent
-  /// mode, and the two channels are guaranteed to describe the same
-  /// instant. This is the stats surface; the per-channel accessors
-  /// below are deprecated thin wrappers over it.
+  /// Both movement-accounting channels in one coherent read, copied
+  /// under a single accounting hold - safe from any thread in
+  /// concurrent mode. The shared backend hold places the read between
+  /// membership events, so the two channels always describe the same
+  /// completed event.
   [[nodiscard]] StatsSnapshot stats() const {
     const MaybeSharedLock backend_lock(backend_mutex_, concurrent_);
-    flush_relocations();
     const MaybeLockGuard acc(accounting_mutex_, concurrent_);
     return {relocation_stats_, replication_stats_};
-  }
-
-  /// Deprecated: use stats().relocation. Relocation channel only -
-  /// keys whose primary owner changed, fed by the backend's
-  /// range-level relocation events.
-  [[nodiscard]] placement::MigrationStats relocation_stats() const {
-    return stats().relocation;
-  }
-
-  /// Deprecated: use stats().relocation. Historical alias of
-  /// relocation_stats() (pre-replication callers).
-  [[nodiscard]] placement::MigrationStats migration_stats() const {
-    return stats().relocation;
-  }
-
-  /// Deprecated: use stats().replication. Re-replication channel only
-  /// - repair copies and correlated-failure losses (see the header
-  /// comment for how the channels relate).
-  [[nodiscard]] ReplicationStats replication_stats() const {
-    return stats().replication;
-  }
-
-  /// Deprecated: use stats().relocation. Alias of relocation_stats(),
-  /// kept from when the reference accessor was unsafe to call from
-  /// racing threads and this was the synchronized spelling.
-  [[nodiscard]] placement::MigrationStats relocation_stats_snapshot() const {
-    return stats().relocation;
-  }
-
-  /// Deprecated: use stats().replication (see
-  /// relocation_stats_snapshot()).
-  [[nodiscard]] ReplicationStats replication_stats_snapshot() const {
-    return stats().replication;
   }
 
   /// Registers (or clears, with nullptr) the store event sink: the
@@ -845,30 +771,12 @@ class Store final : private placement::RelocationObserver {
   /// synchronized - introspect quiescently in concurrent mode.
   [[nodiscard]] const ShardIndex& shard_index() const { return index_; }
 
-  /// The placement backend (scheme-specific surface: the DHT adapters
-  /// expose the balancer and vnode-level elasticity, the CH adapter
-  /// the ring). Changing membership through it bypasses the
-  /// re-replication bookkeeping - prefer the store's membership calls
-  /// (and in concurrent mode direct mutation is unsupported: the
-  /// fallback accounting paths assume the serial mode).
-  [[nodiscard]] Backend& backend() { return backend_; }
+  /// The placement backend, read-only (scheme-specific surface: the
+  /// DHT adapters expose the balancer, the CH adapter the ring).
+  /// Membership changes go through the store's membership calls.
   [[nodiscard]] const Backend& backend() const { return backend_; }
 
  private:
-  /// RAII setter of in_membership_: exception-safe even when a
-  /// membership precondition throws mid-call (a stuck flag would make
-  /// later direct backend() mutations skip the full_dirty_ fallback).
-  class MembershipScope {
-   public:
-    explicit MembershipScope(bool& flag) : flag_(flag) { flag_ = true; }
-    ~MembershipScope() { flag_ = false; }
-    MembershipScope(const MembershipScope&) = delete;
-    MembershipScope& operator=(const MembershipScope&) = delete;
-
-   private:
-    bool& flag_;
-  };
-
   /// One not-yet-counted relocation event (the batched accounting:
   /// callbacks record, flush_relocations() counts).
   struct PendingEvent {
@@ -1027,26 +935,58 @@ class Store final : private placement::RelocationObserver {
     return false;
   }
 
+  /// The one membership sequence behind every call that changes
+  /// placement. Under the exclusive backend hold and inside one sink
+  /// bracket, `step(backend_, i)` runs for i in [0, steps): one
+  /// backend operation each, returning whether it ran (then its dirty
+  /// report is collected - the backends report only their latest
+  /// operation). The repair pass then counts the event's relocations
+  /// and realigns the materialized replica sets, as one full scan with
+  /// `full_repair`. A step that throws still gets the repair pass (a
+  /// full scan: the throwing operation left no dirty report) and the
+  /// closed bracket, so the accounting stays counted and the sink's
+  /// brackets balanced. The steps are lambdas, which the thread
+  /// safety analysis checks as lock-free functions of their own, so
+  /// they touch only the backend they are handed (and set_topology's
+  /// unguarded topology pointer); every guarded field is this
+  /// sequence's.
+  template <typename Step>
+  void membership_event(MembershipEventKind kind, std::size_t steps,
+                        Step step, bool full_repair = false) {
+    const MaybeUniqueLock backend_lock(backend_mutex_, concurrent_);
+    if (event_sink_ != nullptr) event_sink_->on_membership_begin(kind);
+    try {
+      for (std::size_t i = 0; i < steps; ++i) {
+        if (step(backend_, i)) collect_dirty();
+      }
+    } catch (...) {
+      full_dirty_ = true;
+      finish_event(kind);
+      throw;
+    }
+    if (full_repair) full_dirty_ = true;
+    finish_event(kind);
+  }
+
+  /// The tail of membership_event(): repair, then close the bracket.
+  void finish_event(MembershipEventKind kind)
+      COBALT_REQUIRES(backend_mutex_) {
+    rereplicate(/*crash=*/kind == MembershipEventKind::kCrash);
+    if (event_sink_ != nullptr) event_sink_->on_membership_end();
+  }
+
   /// Counts the keys inside the pending relocation events, in event
-  /// order. Runs before any mutation of the resident keys and before
-  /// any stats read, so every event is counted against exactly the
-  /// key population it found when it fired - the seed's per-event
-  /// count_range, batched. Concurrent mode counts the event ranges in
-  /// parallel on the pool (counting mutates nothing, and the shared
-  /// stripe hold keeps writers out), then applies and emits serially
-  /// in event order - same totals, same sink stream.
-  ///
-  /// The nothing-pending fast path reads an atomic flag, not the event
-  /// vector: the vector is accounting-guarded, and racing flushers
-  /// (all under the shared backend hold) clear it under that lock - an
-  /// unlocked .empty() probe against it was a data race. The flag is
-  /// only raised under the exclusive backend hold (the observer
-  /// callbacks), so a shared-holding reader seeing it down is ordered
-  /// after the raise it might have missed.
-  void flush_relocations() const COBALT_REQUIRES_SHARED(backend_mutex_) {
-    if (!relocations_pending_.load(std::memory_order_acquire)) return;
+  /// order. Its one caller is the repair pass of the membership event
+  /// that recorded them, before the pass touches a bucket, so every
+  /// event is counted against exactly the key population it found
+  /// when it fired - the seed's per-event count_range, batched.
+  /// Concurrent mode counts the event ranges in parallel on the pool
+  /// (counting mutates nothing, and the exclusive backend hold keeps
+  /// writers out), then applies and emits serially in event order -
+  /// same totals, same sink stream.
+  void flush_relocations() COBALT_REQUIRES(backend_mutex_) {
+    if (pending_events_.empty()) return;
     const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-    if (pending_events_.empty()) return;  // another flusher won the race
     if (!concurrent_) {
       const ShardIndex::StructureSharedLock structure(index_,
                                                       /*engage=*/false);
@@ -1075,7 +1015,6 @@ class Store final : private placement::RelocationObserver {
       }
     }
     pending_events_.clear();
-    relocations_pending_.store(false, std::memory_order_release);
   }
 
   /// Counts one pending event's range, on a pool worker. The worker
@@ -1092,7 +1031,7 @@ class Store final : private placement::RelocationObserver {
 
   /// Applies one counted relocation event to the stats channel and the
   /// sink (the shared tail of both flush modes).
-  void count_relocation(const PendingEvent& event, std::uint64_t keys) const
+  void count_relocation(const PendingEvent& event, std::uint64_t keys)
       COBALT_REQUIRES(accounting_mutex_) {
     if (event.rebucket) {
       relocation_stats_.keys_rebucketed += keys;
@@ -1114,15 +1053,14 @@ class Store final : private placement::RelocationObserver {
   /// Folds the backend's dirty report for the membership operation
   /// that just ran into the pending repair plan (k > 1 only; the
   /// k == 1 plan is exactly the relocated/rebucketed ranges the
-  /// observer recorded). A change of the clamped replica target (the
-  /// cluster crossing size k) invalidates every materialized set size,
-  /// so the next pass falls back to a full scan.
+  /// observer recorded). Nothing is collected once the pass is a full
+  /// scan anyway: forced, or the clamped replica target changed (the
+  /// cluster crossed size k, so every materialized set size is stale).
   void collect_dirty() COBALT_REQUIRES(backend_mutex_) {
-    if (replication_ == 1) return;
-    if (replica_target() != last_repair_target_) {
-      full_dirty_ = true;
+    if (replication_ == 1 || full_dirty_ ||
+        replica_target() != last_repair_target_) {
+      return;
     }
-    if (full_dirty_) return;
     const auto ranges = backend_.replica_dirty_ranges(
         placement::ReplicationSpec{replica_target(), spread_});
     pending_dirty_.insert(pending_dirty_.end(), ranges.begin(),
@@ -1139,8 +1077,7 @@ class Store final : private placement::RelocationObserver {
   ///
   /// The whole pass runs under the accounting lock in concurrent mode
   /// (uncontended: the exclusive backend hold already excludes every
-  /// other accountant - the lock is for the analysis and for the
-  /// live-reference stats readers, which hold no backend cover).
+  /// other accountant - the lock is for the analysis).
   void rereplicate(bool crash) COBALT_REQUIRES(backend_mutex_) {
     flush_relocations();
     if (backend_.node_count() == 0) {
@@ -1177,7 +1114,6 @@ class Store final : private placement::RelocationObserver {
       if (plan.empty()) {
         // Nothing can have changed: the pass costs nothing - the
         // refused-drain / no-op-event fast exit of the shard design.
-        aligned_ = true;
         return;
       }
     }
@@ -1205,7 +1141,6 @@ class Store final : private placement::RelocationObserver {
                           target);
       }
     }
-    aligned_ = true;
   }
 
   /// The shard-parallel repair pass (concurrent mode; the surrounding
@@ -1535,49 +1470,31 @@ class Store final : private placement::RelocationObserver {
   // pure accounting - routing already derives the new owner. The
   // callbacks only record; counting is deferred to flush_relocations()
   // (one batched pass per membership event instead of a range walk per
-  // callback). In concurrent mode the callbacks only ever fire on the
-  // membership thread, under its exclusive backend hold - the claim
-  // below. The base interface is unannotated (virtual dispatch is
-  // outside the analysis), so the claim checks these bodies, not the
-  // backend's call sites; the pending-event queue additionally takes
-  // the accounting lock, because flushers mutate it under only the
-  // *shared* backend hold.
+  // callback). They only ever fire inside a store membership call,
+  // under its exclusive backend hold - the claim below. The base
+  // interface is unannotated (virtual dispatch is outside the
+  // analysis), so the claim checks these bodies, not the backend's
+  // call sites.
   void on_relocate(HashIndex first, HashIndex last, placement::NodeId from,
                    placement::NodeId to) override
       COBALT_REQUIRES(backend_mutex_) {
-    {
-      const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-      pending_events_.push_back({first, last, from, to, /*rebucket=*/false});
-    }
-    relocations_pending_.store(true, std::memory_order_release);
-    if (from != to) {
-      aligned_ = false;
-      // Remember where ownership changed so the k == 1 repair pass can
-      // visit only the affected shards (see rereplicate()).
-      if (replication_ == 1) pending_repair_.push_back({first, last});
-      // A stray event (membership mutated through backend() directly)
-      // leaves no queryable dirty report behind; the next pass falls
-      // back to the full scan the seed always ran.
-      if (replication_ > 1 && !in_membership_) full_dirty_ = true;
+    pending_events_.push_back({first, last, from, to, /*rebucket=*/false});
+    // Remember where ownership changed so the k == 1 repair pass can
+    // visit only the affected shards (see rereplicate()).
+    if (from != to && replication_ == 1) {
+      pending_repair_.push_back({first, last});
     }
   }
 
   void on_rebucket(HashIndex first, HashIndex last) override
       COBALT_REQUIRES(backend_mutex_) {
-    {
-      const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-      pending_events_.push_back({first, last, placement::kInvalidNode,
-                                 placement::kInvalidNode, /*rebucket=*/true});
-    }
-    relocations_pending_.store(true, std::memory_order_release);
+    pending_events_.push_back({first, last, placement::kInvalidNode,
+                               placement::kInvalidNode, /*rebucket=*/true});
     // A buddy merge may hand the odd half over *implicitly* (the DHT
     // adapters account that as rebucketing, not movement - see
     // dht_backend.hpp), so the k == 1 repair must check these ranges
-    // too (for pure splits the check is a no-op) and the per-shard
-    // owner fast paths cannot trust alignment until the next pass.
-    aligned_ = false;
+    // too (for pure splits the check is a no-op).
     if (replication_ == 1) pending_repair_.push_back({first, last});
-    if (replication_ > 1 && !in_membership_) full_dirty_ = true;
   }
 
   /// Unguarded by design: mutated only under the exclusive backend
@@ -1599,17 +1516,13 @@ class Store final : private placement::RelocationObserver {
   /// Counted-batch consumer (protocol DES); see set_event_sink().
   /// Unguarded: set while quiescent, read-only afterwards.
   StoreEventSink* event_sink_ = nullptr;
-  mutable placement::MigrationStats relocation_stats_
+  placement::MigrationStats relocation_stats_
       COBALT_GUARDED_BY(accounting_mutex_);
   ReplicationStats replication_stats_ COBALT_GUARDED_BY(accounting_mutex_);
   /// Relocation events recorded but not yet counted (see
-  /// flush_relocations()).
-  mutable std::vector<PendingEvent> pending_events_
-      COBALT_GUARDED_BY(accounting_mutex_);
-  /// Raised when an observer callback records a pending event, lowered
-  /// by the flush that counts them: the lock-free nothing-pending
-  /// probe of flush_relocations().
-  mutable std::atomic<bool> relocations_pending_{false};
+  /// flush_relocations()); empty outside membership calls.
+  std::vector<PendingEvent> pending_events_
+      COBALT_GUARDED_BY(backend_mutex_);
   /// k == 1 repair plan: ownership-changing ranges of the in-flight
   /// membership event.
   std::vector<placement::HashRange> pending_repair_
@@ -1618,20 +1531,12 @@ class Store final : private placement::RelocationObserver {
   /// collection per membership operation.
   std::vector<placement::HashRange> pending_dirty_
       COBALT_GUARDED_BY(backend_mutex_);
-  /// Set when the clamped replica target changed since the last pass
-  /// (materialized set sizes are stale everywhere) or a stray event
-  /// arrived outside a store membership call: full-scan repair.
+  /// Forces the next pass to scan everything: set when the clamped
+  /// replica target changed since the last pass (materialized set
+  /// sizes are stale everywhere), when set_topology re-spreads every
+  /// set, and when a membership operation threw.
   bool full_dirty_ COBALT_GUARDED_BY(backend_mutex_) = false;
-  /// True while a store membership call is driving the backend (events
-  /// arriving outside are direct backend() mutations).
-  bool in_membership_ COBALT_GUARDED_BY(backend_mutex_) = false;
   std::size_t last_repair_target_ COBALT_GUARDED_BY(backend_mutex_) = 0;
-  /// True while every resident bucket's materialized rank 0 equals
-  /// backend().owner_of (maintained by the repair passes; cleared by
-  /// ownership-changing events until the next pass). Written only
-  /// under the exclusive backend hold in concurrent mode; every reader
-  /// holds it shared.
-  bool aligned_ COBALT_GUARDED_BY(backend_mutex_) = true;
   /// Reusable desired-run buffer of the serial repair walk.
   std::vector<DesiredRun> runs_scratch_ COBALT_GUARDED_BY(backend_mutex_);
   /// Worker pool of the concurrent mode (nullptr = serial mode; see
@@ -1643,8 +1548,8 @@ class Store final : private placement::RelocationObserver {
   /// set while quiescent.
   bool concurrent_ = false;
   /// Membership/read lock of the concurrent mode: membership events
-  /// hold it exclusively end to end; backend readers and accounting
-  /// flushers hold it shared. Point gets never touch it.
+  /// hold it exclusively end to end; backend readers and key writers
+  /// hold it shared. Point gets never touch it.
   mutable SharedMutex backend_mutex_;
   /// Orders the stats channels between holders of the shared backend
   /// lock (concurrent puts, snapshot readers); a membership event's

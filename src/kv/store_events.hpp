@@ -16,12 +16,12 @@
 // message/latency costs all derive from these callbacks, so their
 // totals agree bit for bit by construction (and a ctest asserts it).
 //
-// Callbacks arrive in event order, bracketed by on_membership_begin /
-// on_membership_end for changes driven through the store's membership
-// calls. Relocation batches may also arrive *outside* a bracket: the
-// store flushes pending accounting lazily, so events caused by direct
-// backend() mutation surface at the next mutation or stats read
-// (consumers treat them as an implicit membership event).
+// Callbacks arrive in event order, and every batch arrives inside an
+// on_membership_begin / on_membership_end bracket: placement changes
+// only through the store's membership calls, each of which opens one
+// bracket, counts and repairs inside it, and closes it (even when the
+// call throws). A consumer can therefore treat each bracket as one
+// complete membership event.
 
 #pragma once
 
@@ -33,8 +33,9 @@ namespace cobalt::kv {
 
 /// What kind of membership change a bracketed event stream describes.
 enum class MembershipEventKind {
-  kJoin,   ///< add_node
-  kDrain,  ///< remove_node (graceful; may have been refused)
+  kJoin,   ///< add_node, a growing resize_node, set_topology's re-spread
+  kDrain,  ///< remove_node or a shrinking resize_node (graceful; may
+           ///< have been refused)
   kCrash,  ///< fail_nodes (correlated batch; repair may count losses)
 };
 

@@ -197,19 +197,6 @@ std::uint32_t DhtBackend<dht::LocalDht>::serialization_domain(
 }
 
 template <typename DhtT>
-dht::VNodeId DhtBackend<DhtT>::add_vnode(NodeId node) {
-  COBALT_REQUIRE(is_live(node), "node is not live");
-  last_event_ranges_.clear();
-  return dht_.create_vnode(static_cast<dht::SNodeId>(node));
-}
-
-template <typename DhtT>
-void DhtBackend<DhtT>::remove_vnode(dht::VNodeId id) {
-  last_event_ranges_.clear();
-  dht_.remove_vnode(id);
-}
-
-template <typename DhtT>
 bool DhtBackend<DhtT>::resize_node(NodeId node, double capacity) {
   COBALT_REQUIRE(is_live(node), "node is not live");
   last_event_ranges_.clear();

@@ -158,16 +158,9 @@ class DhtBackend final : private dht::MutationObserver {
 
   /// The underlying balancer (metrics, invariant checks, snapshots).
   /// Read-only: mutating membership behind the adapter would desync
-  /// its node bookkeeping - use add_node/remove_node/add_vnode/
-  /// remove_vnode/resize_node instead.
+  /// its node bookkeeping - use add_node/remove_node/resize_node
+  /// instead.
   [[nodiscard]] const DhtT& dht() const { return dht_; }
-
-  /// Enrolls one more vnode on `node` (fine-grained elasticity).
-  dht::VNodeId add_vnode(NodeId node);
-
-  /// Removes one specific vnode (the local approach may throw
-  /// dht::UnsupportedTopology, leaving the DHT unchanged).
-  void remove_vnode(dht::VNodeId id);
 
   /// Enrollment-level change (section 2.1.2: enrollment "is not
   /// necessarily static"): adds or drains vnodes until the node's
@@ -178,14 +171,15 @@ class DhtBackend final : private dht::MutationObserver {
   /// Vnodes currently enrolled by `node`.
   [[nodiscard]] std::size_t vnodes_of(NodeId node) const;
 
+  /// Vnodes a node of relative `capacity` enrolls.
+  [[nodiscard]] std::size_t target_vnodes(double capacity) const;
+
  private:
   // dht::MutationObserver -> RelocationObserver translation.
   void on_transfer(const dht::Partition& partition, dht::VNodeId from,
                    dht::VNodeId to) override;
   void on_split(const dht::Partition& partition, dht::VNodeId owner) override;
   void on_merge(const dht::Partition& parent, dht::VNodeId owner) override;
-
-  [[nodiscard]] std::size_t target_vnodes(double capacity) const;
 
   Options options_;
   DhtT dht_;

@@ -354,37 +354,41 @@ void expect_fault_determinism(MakeStore make) {
 
 TEST(FaultDeterminism, LocalDht) {
   expect_fault_determinism<kv::KvStore>(
-      [] { return kv::KvStore({dht_cfg(32, 8, 41), 1}, 2); });
+      [] { return kv::KvStore({dht_cfg(32, 8, 41), 1},
+                              placement::ReplicationSpec{2}); });
 }
 
 TEST(FaultDeterminism, GlobalDht) {
   expect_fault_determinism<kv::GlobalKvStore>(
-      [] { return kv::GlobalKvStore({dht_cfg(32, 1, 42), 1}, 2); });
+      [] { return kv::GlobalKvStore({dht_cfg(32, 1, 42), 1},
+                                    placement::ReplicationSpec{2}); });
 }
 
 TEST(FaultDeterminism, ConsistentHashing) {
   expect_fault_determinism<kv::ChKvStore>(
-      [] { return kv::ChKvStore({43, 16}, 2); });
+      [] { return kv::ChKvStore({43, 16}, placement::ReplicationSpec{2}); });
 }
 
 TEST(FaultDeterminism, Rendezvous) {
   expect_fault_determinism<kv::HrwKvStore>(
-      [] { return kv::HrwKvStore({44, 10}, 2); });
+      [] { return kv::HrwKvStore({44, 10}, placement::ReplicationSpec{2}); });
 }
 
 TEST(FaultDeterminism, Jump) {
   expect_fault_determinism<kv::JumpKvStore>(
-      [] { return kv::JumpKvStore({45, 10}, 2); });
+      [] { return kv::JumpKvStore({45, 10}, placement::ReplicationSpec{2}); });
 }
 
 TEST(FaultDeterminism, Maglev) {
   expect_fault_determinism<kv::MaglevKvStore>(
-      [] { return kv::MaglevKvStore({46, 10}, 2); });
+      [] { return kv::MaglevKvStore({46, 10},
+                                    placement::ReplicationSpec{2}); });
 }
 
 TEST(FaultDeterminism, BoundedCh) {
   expect_fault_determinism<kv::BoundedChKvStore>(
-      [] { return kv::BoundedChKvStore({47, 16, 0.1, 10}, 2); });
+      [] { return kv::BoundedChKvStore({47, 16, 0.1, 10},
+                                       placement::ReplicationSpec{2}); });
 }
 
 }  // namespace

@@ -47,12 +47,8 @@ void expect_lockstep(MakeStore make) {
     const auto outcome =
         sim::run_protocol_churn(store, 8, 20, keys, /*seed=*/1234 + k);
 
-    // Read the channels first (the read flushes any pending batches
-    // into both the stats and the already-detached totals snapshot
-    // below would miss them otherwise - after a completed scenario
-    // nothing is pending, but the order keeps the test honest).
-    const placement::MigrationStats reloc = store.relocation_stats();
-    const kv::ReplicationStats repl = store.replication_stats();
+    const placement::MigrationStats reloc = store.stats().relocation;
+    const kv::ReplicationStats repl = store.stats().replication;
 
     EXPECT_EQ(outcome.totals.handover_keys_total, reloc.keys_moved_total);
     EXPECT_EQ(outcome.totals.handover_keys_cross,
@@ -77,46 +73,57 @@ void expect_lockstep(MakeStore make) {
 
 TEST(ProtocolDriverLockstep, LocalDht) {
   expect_lockstep<kv::KvStore>([](std::size_t k) {
-    return kv::KvStore({dht_cfg(32, 8, 11), 1}, k);
+    return kv::KvStore({dht_cfg(32, 8, 11), 1}, placement::ReplicationSpec{k});
   });
 }
 
 TEST(ProtocolDriverLockstep, GlobalDht) {
   expect_lockstep<kv::GlobalKvStore>([](std::size_t k) {
-    return kv::GlobalKvStore({dht_cfg(32, 1, 12), 1}, k);
+    return kv::GlobalKvStore({dht_cfg(32, 1, 12), 1},
+                             placement::ReplicationSpec{k});
   });
 }
 
 TEST(ProtocolDriverLockstep, ConsistentHashing) {
   expect_lockstep<kv::ChKvStore>(
-      [](std::size_t k) { return kv::ChKvStore({13, 16}, k); });
+      [](std::size_t k) {
+        return kv::ChKvStore({13, 16}, placement::ReplicationSpec{k});
+      });
 }
 
 TEST(ProtocolDriverLockstep, Rendezvous) {
   expect_lockstep<kv::HrwKvStore>(
-      [](std::size_t k) { return kv::HrwKvStore({14, 10}, k); });
+      [](std::size_t k) {
+        return kv::HrwKvStore({14, 10}, placement::ReplicationSpec{k});
+      });
 }
 
 TEST(ProtocolDriverLockstep, Jump) {
   expect_lockstep<kv::JumpKvStore>(
-      [](std::size_t k) { return kv::JumpKvStore({15, 10}, k); });
+      [](std::size_t k) {
+        return kv::JumpKvStore({15, 10}, placement::ReplicationSpec{k});
+      });
 }
 
 TEST(ProtocolDriverLockstep, Maglev) {
   expect_lockstep<kv::MaglevKvStore>(
-      [](std::size_t k) { return kv::MaglevKvStore({16, 10}, k); });
+      [](std::size_t k) {
+        return kv::MaglevKvStore({16, 10}, placement::ReplicationSpec{k});
+      });
 }
 
 TEST(ProtocolDriverLockstep, BoundedCh) {
   expect_lockstep<kv::BoundedChKvStore>([](std::size_t k) {
-    return kv::BoundedChKvStore({17, 16, 0.1, 10}, k);
+    return kv::BoundedChKvStore({17, 16, 0.1, 10},
+                                placement::ReplicationSpec{k});
   });
 }
 
 TEST(SerializationDomains, GlobalIsOneDomain) {
   // One replicated GPDR: every round of every event serializes through
   // domain 0, so the longest chain is the whole log.
-  kv::GlobalKvStore store({dht_cfg(32, 1, 21), 1}, 2);
+  kv::GlobalKvStore store({dht_cfg(32, 1, 21), 1},
+                          placement::ReplicationSpec{2});
   ProtocolDriver<placement::GlobalDhtBackend> driver(store);
   for (int n = 0; n < 6; ++n) store.add_node();
   const auto keys = make_keys(400);
@@ -133,7 +140,7 @@ TEST(SerializationDomains, GlobalIsOneDomain) {
 TEST(SerializationDomains, LocalUsesPerGroupDomains) {
   // Small Vmin so the growth splits groups: events land in different
   // LPDR domains and the chain is shorter than the log.
-  kv::KvStore store({dht_cfg(32, 2, 22), 1}, 2);
+  kv::KvStore store({dht_cfg(32, 2, 22), 1}, placement::ReplicationSpec{2});
   ProtocolDriver<placement::LocalDhtBackend> driver(store);
   const auto keys = make_keys(400);
   for (int n = 0; n < 16; ++n) store.add_node();
@@ -149,7 +156,7 @@ TEST(SerializationDomains, LocalUsesPerGroupDomains) {
 TEST(SerializationDomains, GridSchemesFallBackToTheArcLattice) {
   // HRW defines no native serialization domain; ranges map onto the
   // top-bits arc lattice (many domains, concurrent rounds).
-  kv::HrwKvStore store({23, 10}, 1);
+  kv::HrwKvStore store({23, 10}, placement::ReplicationSpec{1});
   ProtocolDriver<placement::HrwBackend> driver(store);
   const auto keys = make_keys(600);
   store.add_node();
@@ -172,48 +179,8 @@ TEST(SerializationDomains, ArcLatticeIsTheTopBits) {
                InvalidArgument);
 }
 
-TEST(ProtocolDriver, CapturesStrayFlushesAsImplicitEvents) {
-  // Membership mutated through backend() directly produces no
-  // begin/end bracket; the batches surface at the next flush and must
-  // still be captured, keeping the totals aligned with the channel.
-  kv::ChKvStore store({24, 16}, 1);
-  ProtocolDriver<placement::ChBackend> driver(store);
-  store.add_node();
-  const auto keys = make_keys(500);
-  for (const auto& key : keys) store.put(key, "v");
-
-  store.backend().add_node();  // bypasses the store's bookkeeping
-  const placement::MigrationStats reloc = store.relocation_stats();
-  EXPECT_GT(reloc.keys_moved_total, 0u);
-  EXPECT_EQ(driver.totals().handover_keys_total, reloc.keys_moved_total);
-  EXPECT_GT(driver.recorded().size(), 0u);
-}
-
-TEST(ProtocolDriver, StrayBatchesAreNotAttributedToTheNextBracket) {
-  // A direct backend() mutation leaves pending batches behind; a
-  // following store membership call must flush them as their own
-  // implicit event *before* opening its bracket, or the previous
-  // event's movement would be priced into the wrong rounds.
-  kv::ChKvStore store({27, 16}, 1);
-  ProtocolDriver<placement::ChBackend> driver(store);
-  store.add_node();
-  const auto keys = make_keys(500);
-  for (const auto& key : keys) store.put(key, "v");
-  driver.clear();
-
-  store.backend().add_node();  // stray: bypasses the store's bookkeeping
-  store.add_node();            // bracketed join
-  EXPECT_EQ(driver.totals().events, 2u);  // implicit event + the join
-  const auto& log = driver.recorded();
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.front().event, 0u);  // the stray movement came first
-  bool join_recorded = false;
-  for (const auto& round : log) join_recorded |= round.event == 1u;
-  EXPECT_TRUE(join_recorded);
-}
-
 TEST(ProtocolDriver, ClearRestrictsTheLogToLaterEvents) {
-  kv::HrwKvStore store({25, 10}, 2);
+  kv::HrwKvStore store({25, 10}, placement::ReplicationSpec{2});
   ProtocolDriver<placement::HrwBackend> driver(store);
   const auto keys = make_keys(300);
   for (int n = 0; n < 6; ++n) store.add_node();
@@ -231,7 +198,7 @@ TEST(ProtocolDriver, ClearRestrictsTheLogToLaterEvents) {
 TEST(ProtocolDriver, ArrivalGapsDelayButNeverReorderDomains) {
   // The same log scheduled with spaced arrivals can only finish later;
   // messages are a property of the log, not the schedule.
-  kv::JumpKvStore store({26, 10}, 2);
+  kv::JumpKvStore store({26, 10}, placement::ReplicationSpec{2});
   ProtocolDriver<placement::JumpBackend> driver(store);
   const auto keys = make_keys(400);
   for (int n = 0; n < 6; ++n) store.add_node();

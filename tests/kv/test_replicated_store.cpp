@@ -31,43 +31,45 @@ StoreT make_store(std::uint64_t seed, std::size_t replication);
 
 template <>
 KvStore make_store<KvStore>(std::uint64_t seed, std::size_t replication) {
-  return KvStore({cfg(8, 8, seed), 1}, replication);
+  return KvStore({cfg(8, 8, seed), 1}, placement::ReplicationSpec{replication});
 }
 
 template <>
 GlobalKvStore make_store<GlobalKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return GlobalKvStore({cfg(8, 1, seed), 1}, replication);
+  return GlobalKvStore({cfg(8, 1, seed), 1},
+                       placement::ReplicationSpec{replication});
 }
 
 template <>
 ChKvStore make_store<ChKvStore>(std::uint64_t seed,
                                 std::size_t replication) {
-  return ChKvStore({seed, 16}, replication);
+  return ChKvStore({seed, 16}, placement::ReplicationSpec{replication});
 }
 
 template <>
 HrwKvStore make_store<HrwKvStore>(std::uint64_t seed,
                                   std::size_t replication) {
-  return HrwKvStore({seed, 12}, replication);
+  return HrwKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 JumpKvStore make_store<JumpKvStore>(std::uint64_t seed,
                                     std::size_t replication) {
-  return JumpKvStore({seed, 12}, replication);
+  return JumpKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 MaglevKvStore make_store<MaglevKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return MaglevKvStore({seed, 12}, replication);
+  return MaglevKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 BoundedChKvStore make_store<BoundedChKvStore>(std::uint64_t seed,
                                               std::size_t replication) {
-  return BoundedChKvStore({seed, 16, 0.25, 12}, replication);
+  return BoundedChKvStore({seed, 16, 0.25, 12},
+                          placement::ReplicationSpec{replication});
 }
 
 template <typename StoreT>
@@ -85,7 +87,7 @@ template <typename StoreT>
 void expect_fully_replicated(const StoreT& store,
                              const std::vector<std::string>& keys) {
   const std::size_t expected =
-      std::min(store.replication(), store.backend().node_count());
+      std::min(store.replication_spec().k, store.backend().node_count());
   for (const std::string& key : keys) {
     const auto replicas = store.replicas_of(key);
     ASSERT_EQ(replicas.size(), expected) << "key " << key;
@@ -110,7 +112,7 @@ TYPED_TEST(ReplicatedStoreSuite, WritesMaterializeKDistinctLiveReplicas) {
   }
   expect_fully_replicated(store, keys);
   // Fan-out accounting: every put wrote one copy per replica.
-  EXPECT_EQ(store.replication_stats().replica_writes, 300u * 3u);
+  EXPECT_EQ(store.stats().replication.replica_writes, 300u * 3u);
   // Reads are served by the primary while it lives.
   for (const std::string& key : keys) {
     EXPECT_EQ(store.read_node_of(key), store.owner_of(key));
@@ -153,8 +155,8 @@ TYPED_TEST(ReplicatedStoreSuite, GracefulDrainNeverLosesKeys) {
     if (store.remove_node(nodes[i])) ++drained;
   }
   EXPECT_GT(drained, 0);
-  EXPECT_EQ(store.replication_stats().keys_lost, 0u);
-  EXPECT_GT(store.replication_stats().keys_rereplicated, 0u);
+  EXPECT_EQ(store.stats().replication.keys_lost, 0u);
+  EXPECT_GT(store.stats().replication.keys_rereplicated, 0u);
   expect_fully_replicated(store, keys);
 }
 
@@ -171,14 +173,14 @@ TYPED_TEST(ReplicatedStoreSuite, UnreplicatedCrashLosesExactlyTheOwnedKeys) {
   for (const placement::NodeId victim : nodes) {
     const auto owned = store.keys_per_node();
     const std::vector<placement::NodeId> rack = {victim};
-    const std::uint64_t lost_before = store.replication_stats().keys_lost;
+    const std::uint64_t lost_before = store.stats().replication.keys_lost;
     if (store.fail_nodes(rack) == 1) {
-      EXPECT_EQ(store.replication_stats().keys_lost - lost_before,
+      EXPECT_EQ(store.stats().replication.keys_lost - lost_before,
                 owned[victim])
           << "at k=1, a crash loses exactly the victim's keys";
       return;
     }
-    EXPECT_EQ(store.replication_stats().keys_lost, lost_before)
+    EXPECT_EQ(store.stats().replication.keys_lost, lost_before)
         << "a refused crash must not lose keys";
   }
   FAIL() << "no removable node found";
@@ -195,7 +197,7 @@ TYPED_TEST(ReplicatedStoreSuite, ReplicatedSingleCrashLosesNothing) {
   }
   const std::vector<placement::NodeId> rack = {nodes[2]};
   store.fail_nodes(rack);
-  EXPECT_EQ(store.replication_stats().keys_lost, 0u);
+  EXPECT_EQ(store.stats().replication.keys_lost, 0u);
   // Every key is still readable from a live replica.
   for (const std::string& key : keys) {
     EXPECT_TRUE(store.backend().is_live(store.read_node_of(key)));
@@ -215,7 +217,7 @@ TYPED_TEST(ReplicatedStoreSuite, CrashOfAWholeReplicaSetIsCountedLost) {
   ASSERT_EQ(rack.size(), 2u);
   const std::size_t failed = store.fail_nodes(rack);
   if (failed == rack.size()) {
-    EXPECT_GT(store.replication_stats().keys_lost, 0u);
+    EXPECT_GT(store.stats().replication.keys_lost, 0u);
   }
   // The simulator keeps the bytes so scenarios can continue; the loss
   // is an accounting fact, not a wipe.
@@ -227,21 +229,21 @@ TYPED_TEST(ReplicatedStoreSuite, RelocationAndReplicationChannelsAreSplit) {
   auto store = make_store<TypeParam>(907, 2);
   for (int n = 0; n < 6; ++n) store.add_node();
   for (int i = 0; i < 800; ++i) store.put("s" + std::to_string(i), "v");
-  const auto relocation_before = store.relocation_stats();
-  const auto replication_before = store.replication_stats();
+  const auto relocation_before = store.stats().relocation;
+  const auto replication_before = store.stats().replication;
   store.add_node();
   // The join moved primaries (relocation channel) and repaired replica
   // sets (replication channel); each is queryable on its own.
-  EXPECT_GT(store.relocation_stats().keys_moved_across_nodes,
+  EXPECT_GT(store.stats().relocation.keys_moved_across_nodes,
             relocation_before.keys_moved_across_nodes);
-  EXPECT_GT(store.replication_stats().keys_rereplicated,
+  EXPECT_GT(store.stats().replication.keys_rereplicated,
             replication_before.keys_rereplicated);
-  EXPECT_EQ(store.replication_stats().keys_lost, 0u);
-  // migration_stats() remains the historical alias of the relocation
+  EXPECT_EQ(store.stats().replication.keys_lost, 0u);
+  // stats().relocation remains the historical alias of the relocation
   // channel (same counters; both accessors now return copies, so the
   // alias is value identity, not address identity).
-  const auto via_alias = store.migration_stats();
-  const auto direct = store.relocation_stats();
+  const auto via_alias = store.stats().relocation;
+  const auto direct = store.stats().relocation;
   EXPECT_EQ(via_alias.keys_moved_total, direct.keys_moved_total);
   EXPECT_EQ(via_alias.keys_moved_across_nodes,
             direct.keys_moved_across_nodes);
@@ -269,7 +271,7 @@ TYPED_TEST(ReplicatedStoreSuite, FactorOneBehavesLikeTheUnreplicatedStore) {
   auto store = make_store<TypeParam>(909, 1);
   for (int n = 0; n < 4; ++n) store.add_node();
   store.put("solo", "v");
-  EXPECT_EQ(store.replication(), 1u);
+  EXPECT_EQ(store.replication_spec().k, 1u);
   const auto replicas = store.replicas_of("solo");
   ASSERT_EQ(replicas.size(), 1u);
   EXPECT_EQ(replicas.front(), store.owner_of("solo"));
@@ -294,19 +296,19 @@ TYPED_TEST(ReplicatedStoreSuite, FailNodesSurvivesDegenerateBatches) {
     store.put(keys.back(), "v");
   }
   const std::uint64_t passes_before =
-      store.replication_stats().rereplication_passes;
+      store.stats().replication.rereplication_passes;
   const std::vector<placement::NodeId> batch = {a, a, b};
   // At most one removal can complete (the last live node survives; a
   // scheme may also refuse, keeping both).
   const std::size_t failed = store.fail_nodes(batch);
   EXPECT_LE(failed, 1u);
   EXPECT_EQ(store.backend().node_count(), 2u - failed);
-  EXPECT_EQ(store.replication_stats().rereplication_passes,
+  EXPECT_EQ(store.stats().replication.rereplication_passes,
             passes_before + 1);
   // The repair pass ran: no materialized replica set lists a dead
   // node, and every key reads from the survivor.
   expect_fully_replicated(store, keys);
-  EXPECT_EQ(store.replication_stats().keys_lost, 0u);
+  EXPECT_EQ(store.stats().replication.keys_lost, 0u);
 }
 
 TYPED_TEST(ReplicatedStoreSuite,
@@ -533,7 +535,7 @@ TYPED_TEST(ReplicatedStoreSuite, ReadsFailOverPastACrashedPrimary) {
     }
   }
   // At k=3 a single crash cannot lose data.
-  EXPECT_EQ(store.replication_stats().keys_lost, 0u);
+  EXPECT_EQ(store.stats().replication.keys_lost, 0u);
 }
 
 TYPED_TEST(ReplicatedStoreSuite, CrashAfterChurnLeavesAccountingConserved) {
@@ -571,7 +573,7 @@ TYPED_TEST(ReplicatedStoreSuite, CrashAfterChurnLeavesAccountingConserved) {
 
   // Replica mass: exactly min(k, nodes) live copies per key.
   const std::size_t target =
-      std::min(store.replication(), store.backend().node_count());
+      std::min(store.replication_spec().k, store.backend().node_count());
   const auto copies = store.replica_copies_per_node();
   std::size_t copy_sum = 0;
   for (const std::size_t c : copies) copy_sum += c;
@@ -581,7 +583,7 @@ TYPED_TEST(ReplicatedStoreSuite, CrashAfterChurnLeavesAccountingConserved) {
   // Only a completed crash may lose anything (at k=2 the two victims
   // can host whole replica pairs, so losses are possible but bounded).
   if (failed == 0) {
-    EXPECT_EQ(store.replication_stats().keys_lost, 0u);
+    EXPECT_EQ(store.stats().replication.keys_lost, 0u);
   }
   for (const std::string& key : keys) {
     const placement::NodeId node = store.read_node_of(key);

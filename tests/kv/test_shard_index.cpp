@@ -142,11 +142,8 @@ class ModelStore final : private placement::RelocationObserver {
     return static_cast<std::size_t>(count_range(first, last));
   }
 
-  [[nodiscard]] const placement::MigrationStats& relocation_stats() const {
-    return relocation_stats_;
-  }
-  [[nodiscard]] const ReplicationStats& replication_stats() const {
-    return replication_stats_;
+  [[nodiscard]] StatsSnapshot stats() const {
+    return {relocation_stats_, replication_stats_};
   }
   [[nodiscard]] Backend& backend() { return backend_; }
 
@@ -314,14 +311,14 @@ void expect_equal(const StoreT& store, const ModelT& model,
   ASSERT_EQ(store.replica_copies_per_node(), model.replica_copies_per_node())
       << where;
 
-  const auto& sr = store.relocation_stats();
-  const auto& mr = model.relocation_stats();
+  const auto sr = store.stats().relocation;
+  const auto mr = model.stats().relocation;
   ASSERT_EQ(sr.keys_moved_total, mr.keys_moved_total) << where;
   ASSERT_EQ(sr.keys_moved_across_nodes, mr.keys_moved_across_nodes) << where;
   ASSERT_EQ(sr.keys_rebucketed, mr.keys_rebucketed) << where;
 
-  const auto& ss = store.replication_stats();
-  const auto& ms = model.replication_stats();
+  const auto ss = store.stats().replication;
+  const auto ms = model.stats().replication;
   ASSERT_EQ(ss.replica_writes, ms.replica_writes) << where;
   ASSERT_EQ(ss.keys_rereplicated, ms.keys_rereplicated) << where;
   ASSERT_EQ(ss.keys_lost, ms.keys_lost) << where;
@@ -358,7 +355,8 @@ TYPED_TEST(ShardedStoreModelSuite, MatchesSeedSemanticsUnderRandomChurn) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{2},
                               std::size_t{3}}) {
     const std::uint64_t seed = 700 + k;
-    TypeParam store(make_options<TypeParam>(seed), k);
+    TypeParam store(make_options<TypeParam>(seed),
+                    placement::ReplicationSpec{k});
     ModelStore<Backend> model(make_options<TypeParam>(seed), k);
     Xoshiro256 driver(derive_seed(seed, 0x5Du, k));
     Xoshiro256 probe_rng(derive_seed(seed, 0x5Eu, k));
@@ -455,16 +453,16 @@ TEST(ShardedStore, ReplicatedRepairDoesNotScanEveryShard) {
   // event repairs only the shards its dirty ranges touch. CH joins
   // disturb a handful of arcs, so with many resident shards the visit
   // counter must stay well below the full scan the seed always paid.
-  ChKvStore store({11, 16}, 2);
+  ChKvStore store({11, 16}, placement::ReplicationSpec{2});
   for (int n = 0; n < 24; ++n) store.add_node();
   for (int i = 0; i < 20000; ++i) {
     store.put("key-" + std::to_string(i), "v");
   }
-  const auto before = store.replication_stats();
+  const auto before = store.stats().replication;
   const std::size_t shards = store.shard_index().shard_count();
   ASSERT_GT(shards, 8u);  // the claim is vacuous on a tiny index
   store.add_node();
-  const auto after = store.replication_stats();
+  const auto after = store.stats().replication;
   const std::uint64_t visited =
       after.repair_shards_visited - before.repair_shards_visited;
   const std::uint64_t total =
@@ -477,7 +475,7 @@ TEST(ShardedStore, RefusedDrainRepairsNothing) {
   // An event that relocated nothing must visit zero shards even at
   // k > 1 (the seed scanned every bucket regardless). The local
   // approach's refused drains are exactly such events - find one.
-  KvStore store({cfg(4, 4, 1), 1}, 2);
+  KvStore store({cfg(4, 4, 1), 1}, placement::ReplicationSpec{2});
   std::vector<placement::NodeId> nodes;
   for (int n = 0; n < 16; ++n) nodes.push_back(store.add_node());
   for (int i = 0; i < 3000; ++i) store.put("key-" + std::to_string(i), "v");
@@ -485,11 +483,11 @@ TEST(ShardedStore, RefusedDrainRepairsNothing) {
   bool found_clean_refusal = false;
   for (const placement::NodeId node : nodes) {
     if (store.backend().node_count() < 3) break;
-    const auto stats_before = store.replication_stats();
-    const auto moved_before = store.relocation_stats().keys_moved_total;
+    const auto stats_before = store.stats().replication;
+    const auto moved_before = store.stats().relocation.keys_moved_total;
     if (store.remove_node(node)) continue;  // completed drains do repair
-    const auto stats_after = store.replication_stats();
-    if (store.relocation_stats().keys_moved_total != moved_before) {
+    const auto stats_after = store.stats().replication;
+    if (store.stats().relocation.keys_moved_total != moved_before) {
       continue;  // an aborted decommission that still rebalanced
     }
     found_clean_refusal = true;
@@ -506,7 +504,7 @@ TEST(ShardedStore, ShardCountStaysBoundedUnderChurn) {
   // Boundary splits (write path + repair regrouping) must not
   // fragment the index without bound: the post-pass coalescing keeps
   // the shard count proportional to the replica-set arc structure.
-  ChKvStore store({13, 8}, 3);
+  ChKvStore store({13, 8}, placement::ReplicationSpec{3});
   for (int n = 0; n < 10; ++n) store.add_node();
   for (int i = 0; i < 5000; ++i) store.put("key-" + std::to_string(i), "v");
   Xoshiro256 rng(99);

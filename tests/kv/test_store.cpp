@@ -3,15 +3,19 @@
 // Consistent Hashing, HRW, jump, maglev, bounded-load CH) through
 // identical scenarios - the store-level counterpart of the paper's
 // comparison - plus DHT-specific coverage of the migration
-// accounting.
+// accounting and of the store's enrollment change (resize_node).
 
 #include "kv/store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <string>
+#include <vector>
 
+#include "cluster/protocol_driver.hpp"
+#include "cluster/topology.hpp"
 #include "dht/invariants.hpp"
 
 namespace cobalt::kv {
@@ -299,14 +303,14 @@ TYPED_TEST(StoreSuite, MovementAccountingMatchesOwnershipDiffOnJoin) {
   for (const auto& key : keys) owner_before.push_back(store.owner_of(key));
 
   const std::uint64_t across_before =
-      store.migration_stats().keys_moved_across_nodes;
+      store.stats().relocation.keys_moved_across_nodes;
   store.add_node();
 
   std::uint64_t changed = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (store.owner_of(keys[i]) != owner_before[i]) ++changed;
   }
-  EXPECT_EQ(store.migration_stats().keys_moved_across_nodes - across_before,
+  EXPECT_EQ(store.stats().relocation.keys_moved_across_nodes - across_before,
             changed);
   EXPECT_GT(changed, 0u);
 }
@@ -321,10 +325,10 @@ TYPED_TEST(StoreSuite, FairShareMovementPerJoin) {
   }
   for (int i = 0; i < 15; ++i) store.add_node();
   const std::uint64_t before =
-      store.migration_stats().keys_moved_across_nodes;
+      store.stats().relocation.keys_moved_across_nodes;
   store.add_node();
   const std::uint64_t moved =
-      store.migration_stats().keys_moved_across_nodes - before;
+      store.stats().relocation.keys_moved_across_nodes - before;
   // Fair share at N=17 is ~K/17 ~ 1176; allow generous slack.
   EXPECT_LT(moved, kKeys / 4);
   EXPECT_GT(moved, kKeys / 60);
@@ -346,18 +350,19 @@ TEST(KvStore, IntraNodeVnodeHandoversAreNotCrossNodeTraffic) {
   KvStore store({cfg(8, 4, 21), 1});
   const auto n0 = store.add_node();
   for (int i = 0; i < 3000; ++i) store.put("m" + std::to_string(i), "x");
-  EXPECT_EQ(store.migration_stats().keys_moved_total, 0u);
+  EXPECT_EQ(store.stats().relocation.keys_moved_total, 0u);
 
-  // A second vnode on the same node: keys move between vnodes but not
-  // across nodes.
-  store.backend().add_vnode(n0);
-  const auto after_same = store.migration_stats();
+  // Doubling the node's enrollment adds a second vnode on the same
+  // node: keys move between vnodes but not across nodes.
+  ASSERT_TRUE(store.resize_node(n0, 2.0));
+  EXPECT_EQ(store.backend().vnodes_of(n0), 2u);
+  const auto after_same = store.stats().relocation;
   EXPECT_GT(after_same.keys_moved_total, 0u);
   EXPECT_EQ(after_same.keys_moved_across_nodes, 0u);
 
   // A vnode on a new node: now cross-node movement happens.
   store.add_node();
-  const auto after_cross = store.migration_stats();
+  const auto after_cross = store.stats().relocation;
   EXPECT_GT(after_cross.keys_moved_across_nodes, 0u);
   EXPECT_LE(after_cross.keys_moved_across_nodes,
             after_cross.keys_moved_total);
@@ -367,11 +372,11 @@ TEST(KvStore, SplitsRebucketWithoutMoving) {
   KvStore store({cfg(4, 4, 22), 1});
   store.add_node();
   for (int i = 0; i < 1000; ++i) store.put("r" + std::to_string(i), "v");
-  const auto before = store.migration_stats();
+  const auto before = store.stats().relocation;
   EXPECT_EQ(before.keys_rebucketed, 0u);
   // The second vnode forces one full split wave (V crosses 2^0).
   store.add_node();
-  const auto after = store.migration_stats();
+  const auto after = store.stats().relocation;
   EXPECT_GT(after.keys_rebucketed, 0u);
 }
 
@@ -403,6 +408,158 @@ TEST(KvStore, CapacityProportionalJoins) {
   const double big_share =
       static_cast<double>(counts[big]) / static_cast<double>(kKeys);
   EXPECT_NEAR(big_share, 0.8, 0.1);
+}
+
+// --- membership through the store (DHT adapters) --------------------
+
+/// A DHT-backed store whose capacity-1.0 nodes enroll two vnodes, so
+/// resize_node can both grow and shrink an enrollment.
+template <typename StoreT>
+StoreT make_dht_store(std::uint64_t seed, placement::ReplicationSpec spec);
+
+template <>
+KvStore make_dht_store<KvStore>(std::uint64_t seed,
+                                placement::ReplicationSpec spec) {
+  return KvStore({cfg(8, 4, seed), 2}, spec);
+}
+
+template <>
+GlobalKvStore make_dht_store<GlobalKvStore>(std::uint64_t seed,
+                                            placement::ReplicationSpec spec) {
+  return GlobalKvStore({cfg(8, 1, seed), 2}, spec);
+}
+
+template <typename StoreT>
+class DhtStoreSuite : public ::testing::Test {};
+
+using DhtStoreTypes = ::testing::Types<KvStore, GlobalKvStore>;
+TYPED_TEST_SUITE(DhtStoreSuite, DhtStoreTypes);
+
+/// Records the kinds of the membership brackets and checks they nest.
+class BracketLog final : public StoreEventSink {
+ public:
+  void on_membership_begin(MembershipEventKind kind) override {
+    EXPECT_FALSE(open);
+    open = true;
+    kinds.push_back(kind);
+  }
+  void on_relocation_batch(HashIndex, HashIndex, placement::NodeId,
+                           placement::NodeId, std::uint64_t, bool) override {
+    EXPECT_TRUE(open);
+  }
+  void on_repair_batch(HashIndex, HashIndex, std::uint64_t, std::uint64_t,
+                       std::size_t) override {
+    EXPECT_TRUE(open);
+  }
+  void on_membership_end() override {
+    EXPECT_TRUE(open);
+    open = false;
+  }
+
+  bool open = false;
+  std::vector<MembershipEventKind> kinds;
+};
+
+/// After any store membership call: every materialized replica set is
+/// the backend's fresh spread walk, the protocol driver's totals are
+/// the stats channels, and the per-node counts cover every key.
+template <typename StoreT>
+void expect_aligned(
+    const StoreT& store,
+    const cluster::ProtocolDriver<typename StoreT::BackendType>& driver,
+    const std::vector<std::string>& keys, const std::string& where) {
+  std::vector<placement::NodeId> fresh;
+  for (const std::string& key : keys) {
+    store.backend().replica_set_into(
+        hashing::hash_bytes(hashing::Algorithm::kXxh64, key.data(),
+                            key.size()),
+        store.replication_spec(), fresh);
+    ASSERT_EQ(store.replicas_of(key), fresh) << where << ": " << key;
+  }
+  const StatsSnapshot stats = store.stats();
+  const cluster::ProtocolTotals& totals = driver.totals();
+  EXPECT_EQ(totals.handover_keys_total, stats.relocation.keys_moved_total)
+      << where;
+  EXPECT_EQ(totals.handover_keys_cross,
+            stats.relocation.keys_moved_across_nodes)
+      << where;
+  EXPECT_EQ(totals.rebucket_keys, stats.relocation.keys_rebucketed) << where;
+  EXPECT_EQ(totals.repair_copies, stats.replication.keys_rereplicated)
+      << where;
+  EXPECT_EQ(totals.keys_lost, stats.replication.keys_lost) << where;
+  const std::vector<std::size_t> counts = store.keys_per_node();
+  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::size_t{0}),
+            store.size())
+      << where;
+}
+
+TYPED_TEST(DhtStoreSuite, ResizeNodeRepairsAndAccountsLikeAnyMembershipCall) {
+  const cluster::Topology topo = cluster::Topology::uniform(4, 2);
+  auto store = make_dht_store<TypeParam>(
+      31, placement::ReplicationSpec{3, placement::SpreadPolicy::kRack});
+  store.set_topology(&topo);
+  cluster::ProtocolDriver<typename TypeParam::BackendType> driver(store);
+  std::vector<placement::NodeId> nodes;
+  for (int n = 0; n < 8; ++n) nodes.push_back(store.add_node());
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back("z" + std::to_string(i));
+  for (const std::string& key : keys) store.put(key, "v");
+  expect_aligned(store, driver, keys, "after preload");
+
+  const std::uint64_t moved =
+      store.stats().relocation.keys_moved_across_nodes;
+  ASSERT_TRUE(store.resize_node(nodes[0], 2.0));  // 2 -> 4 vnodes
+  EXPECT_EQ(store.backend().vnodes_of(nodes[0]), 4u);
+  EXPECT_GT(store.stats().relocation.keys_moved_across_nodes, moved);
+  expect_aligned(store, driver, keys, "after growing node 0");
+
+  // The local approach may refuse a drain partway (the node keeps the
+  // enrollment it reached); the event is repaired and counted either
+  // way.
+  (void)store.resize_node(nodes[0], 0.5);  // 4 -> 1 vnode
+  expect_aligned(store, driver, keys, "after shrinking node 0");
+  (void)store.resize_node(nodes[5], 1.5);  // 2 -> 3 vnodes
+  expect_aligned(store, driver, keys, "after growing node 5");
+  (void)store.resize_node(nodes[5], 1.0);  // 3 -> 2 vnodes
+  expect_aligned(store, driver, keys, "after shrinking node 5");
+}
+
+TYPED_TEST(DhtStoreSuite, ResizeNodeReportsGrowthAsAJoinAndShrinkAsADrain) {
+  auto store = make_dht_store<TypeParam>(32, placement::ReplicationSpec{2});
+  BracketLog log;
+  store.set_event_sink(&log);
+  const placement::NodeId a = store.add_node();
+  store.add_node();
+  for (int i = 0; i < 500; ++i) store.put("g" + std::to_string(i), "v");
+  log.kinds.clear();
+
+  store.resize_node(a, 2.0);
+  store.resize_node(a, 1.0);
+  store.resize_node(a, 1.0);  // unchanged enrollment: an empty drain
+  EXPECT_EQ(log.kinds, (std::vector<MembershipEventKind>{
+                           MembershipEventKind::kJoin,
+                           MembershipEventKind::kDrain,
+                           MembershipEventKind::kDrain}));
+  EXPECT_FALSE(log.open);
+  store.set_event_sink(nullptr);
+}
+
+TYPED_TEST(DhtStoreSuite, AThrowingMembershipCallStillClosesItsEvent) {
+  auto store = make_dht_store<TypeParam>(33, placement::ReplicationSpec{2});
+  BracketLog log;
+  store.set_event_sink(&log);
+  for (int n = 0; n < 4; ++n) store.add_node();
+  for (int i = 0; i < 500; ++i) store.put("t" + std::to_string(i), "v");
+  const auto passes = store.stats().replication.rereplication_passes;
+
+  EXPECT_THROW((void)store.remove_node(99), InvalidArgument);  // unknown id
+  EXPECT_FALSE(log.open);
+  EXPECT_EQ(log.kinds.back(), MembershipEventKind::kDrain);
+  EXPECT_EQ(store.stats().replication.rereplication_passes, passes + 1);
+  const std::vector<std::size_t> counts = store.keys_per_node();
+  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::size_t{0}),
+            store.size());
+  store.set_event_sink(nullptr);
 }
 
 }  // namespace

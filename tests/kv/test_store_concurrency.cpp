@@ -44,43 +44,45 @@ StoreT make_store(std::uint64_t seed, std::size_t replication);
 
 template <>
 KvStore make_store<KvStore>(std::uint64_t seed, std::size_t replication) {
-  return KvStore({cfg(8, 8, seed), 1}, replication);
+  return KvStore({cfg(8, 8, seed), 1}, placement::ReplicationSpec{replication});
 }
 
 template <>
 GlobalKvStore make_store<GlobalKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return GlobalKvStore({cfg(8, 1, seed), 1}, replication);
+  return GlobalKvStore({cfg(8, 1, seed), 1},
+                       placement::ReplicationSpec{replication});
 }
 
 template <>
 ChKvStore make_store<ChKvStore>(std::uint64_t seed,
                                 std::size_t replication) {
-  return ChKvStore({seed, 16}, replication);
+  return ChKvStore({seed, 16}, placement::ReplicationSpec{replication});
 }
 
 template <>
 HrwKvStore make_store<HrwKvStore>(std::uint64_t seed,
                                   std::size_t replication) {
-  return HrwKvStore({seed, 12}, replication);
+  return HrwKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 JumpKvStore make_store<JumpKvStore>(std::uint64_t seed,
                                     std::size_t replication) {
-  return JumpKvStore({seed, 12}, replication);
+  return JumpKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 MaglevKvStore make_store<MaglevKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return MaglevKvStore({seed, 12}, replication);
+  return MaglevKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 BoundedChKvStore make_store<BoundedChKvStore>(std::uint64_t seed,
                                               std::size_t replication) {
-  return BoundedChKvStore({seed, 16, 0.25, 12}, replication);
+  return BoundedChKvStore({seed, 16, 0.25, 12},
+                          placement::ReplicationSpec{replication});
 }
 
 template <typename StoreT>
@@ -173,15 +175,15 @@ TYPED_TEST(StoreConcurrencySuite, PooledRunMatchesSerialBitForBit) {
               pooled.replica_copies_per_node())
         << "k=" << k;
 
-    const auto& sm = serial.relocation_stats();
-    const auto& pm = pooled.relocation_stats();
+    const auto sm = serial.stats().relocation;
+    const auto pm = pooled.stats().relocation;
     EXPECT_EQ(sm.keys_moved_total, pm.keys_moved_total) << "k=" << k;
     EXPECT_EQ(sm.keys_moved_across_nodes, pm.keys_moved_across_nodes)
         << "k=" << k;
     EXPECT_EQ(sm.keys_rebucketed, pm.keys_rebucketed) << "k=" << k;
 
-    const ReplicationStats& sr = serial.replication_stats();
-    const ReplicationStats& pr = pooled.replication_stats();
+    const ReplicationStats sr = serial.stats().replication;
+    const ReplicationStats pr = pooled.stats().replication;
     EXPECT_EQ(sr.replica_writes, pr.replica_writes) << "k=" << k;
     EXPECT_EQ(sr.keys_rereplicated, pr.keys_rereplicated) << "k=" << k;
     EXPECT_EQ(sr.keys_lost, pr.keys_lost) << "k=" << k;
@@ -226,7 +228,7 @@ TYPED_TEST(StoreConcurrencySuite, ConcurrentDistinctKeyPutsAccountExactly) {
   // Every put was a distinct new key into a fixed 6-node cluster: the
   // fan-out accounting is exact, not approximate, under any
   // interleaving of the writers.
-  EXPECT_EQ(store.replication_stats().replica_writes,
+  EXPECT_EQ(store.stats().replication.replica_writes,
             kWriters * kPerWriter * 3);
   for (std::size_t w = 0; w < kWriters; ++w) {
     const std::string key = "w" + std::to_string(w) + "-0";
@@ -282,9 +284,9 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
           ASSERT_GE(seen, static_cast<std::size_t>(kStable));
         }
         if (round % 16 == 0) {
-          const auto snap = store.replication_stats_snapshot();
+          const auto snap = store.stats().replication;
           ASSERT_GE(snap.replica_writes, static_cast<std::uint64_t>(kStable));
-          (void)store.relocation_stats_snapshot();
+          (void)store.stats().relocation;
         }
         ++round;
       }
@@ -370,13 +372,6 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
     EXPECT_EQ(store.get(key),
               std::optional<std::string>("s" + std::to_string(i)));
   }
-  // Accounting stayed a consistent channel: the snapshot equals the
-  // quiescent reference accessors once the dust settles.
-  const ReplicationStats snap = store.replication_stats_snapshot();
-  const ReplicationStats& ref = store.replication_stats();
-  EXPECT_EQ(snap.replica_writes, ref.replica_writes);
-  EXPECT_EQ(snap.keys_rereplicated, ref.keys_rereplicated);
-  EXPECT_EQ(snap.rereplication_passes, ref.rereplication_passes);
 }
 
 // Reader-heavy regime: a 31:1 get:put mix (the inverse of the
@@ -505,14 +500,13 @@ TYPED_TEST(StoreConcurrencySuite, PooledScanSeesAConsistentPerShardView) {
   EXPECT_EQ(low, store.keys_in_range(0, mid));
 }
 
-// Regression: flush_relocations() used to probe pending_events_.empty()
-// without the accounting lock as its fast path. Two concurrent
-// flushers - any mix of stats readers and writers, since every put
-// flushes - then raced the probe against the other's clear(). The fast
-// path is now an atomic pending flag and the container probe sits
-// behind the accounting lock, so this mix must be TSan-clean, and the
-// relocation totals must still come out exact (every flusher counts
-// each pending event exactly once or not at all).
+// Regression: flush_relocations() used to run from every stats read and
+// every put, and probed pending_events_.empty() without the accounting
+// lock as its fast path, so two concurrent callers raced the probe
+// against the other's clear(). The flush now runs only inside
+// membership events, under the exclusive backend hold; stats readers
+// and writers racing that churn must stay TSan-clean, and the
+// relocation totals a reader sees must only ever grow.
 TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
   auto store = make_store<KvStore>(1234, 2);
   for (int n = 0; n < 5; ++n) store.add_node();
@@ -526,12 +520,11 @@ TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
   std::vector<std::thread> flushers;
   for (int f = 0; f < 2; ++f) {
     flushers.emplace_back([&store, &stop, f] {
-      // Alternate the two flushing surfaces: the stats read and a
-      // mutation in a private key lane.
+      // Alternate a stats read and a write in a private key lane.
       std::uint64_t last_total = 0;
       int round = 0;
       while (!stop.load(std::memory_order_relaxed) && round < 3000) {
-        const auto stats = store.relocation_stats();
+        const auto stats = store.stats().relocation;
         ASSERT_GE(stats.keys_moved_total, last_total);  // totals only grow
         last_total = stats.keys_moved_total;
         store.put("f" + std::to_string(f) + "-" + std::to_string(round % 50),
@@ -540,8 +533,8 @@ TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
       }
     });
   }
-  // Churn keeps the observers enqueueing fresh pending events for the
-  // flushers to race over.
+  // Churn keeps the observers enqueueing and flushing pending events
+  // while the readers and writers run.
   for (int event = 0; event < 8; ++event) {
     if (event % 2 == 0) {
       store.add_node();
@@ -553,14 +546,11 @@ TEST(StoreRaceRegression, ConcurrentFlushersDoNotRaceThePendingProbe) {
   stop.store(true);
   for (std::thread& t : flushers) t.join();
 
-  // Quiescent again: both spellings agree and the churn was counted.
-  const auto final_stats = store.relocation_stats();
-  EXPECT_GT(final_stats.keys_moved_total, 0u);
-  EXPECT_EQ(final_stats.keys_moved_total,
-            store.relocation_stats_snapshot().keys_moved_total);
+  // Quiescent again: the churn was counted.
+  EXPECT_GT(store.stats().relocation.keys_moved_total, 0u);
 }
 
-// Regression: replication_stats() used to hand back a reference to the
+// Regression: stats().replication used to hand back a reference to the
 // live accounting struct with no lock anywhere, so polling it during a
 // membership pass read the counters while rereplicate() was writing
 // them. It now returns a copy taken under the accounting lock; a
@@ -586,7 +576,7 @@ TEST(StoreRaceRegression, ReplicationStatsPolledDuringChurnIsCoherent) {
   std::thread poller([&store, &stop] {
     ReplicationStats prev;
     while (!stop.load(std::memory_order_relaxed)) {
-      const ReplicationStats now = store.replication_stats();
+      const ReplicationStats now = store.stats().replication;
       ASSERT_GE(now.replica_writes, prev.replica_writes);
       ASSERT_GE(now.keys_rereplicated, prev.keys_rereplicated);
       ASSERT_GE(now.rereplication_passes, prev.rereplication_passes);
@@ -605,9 +595,7 @@ TEST(StoreRaceRegression, ReplicationStatsPolledDuringChurnIsCoherent) {
   writer.join();
   poller.join();
 
-  EXPECT_GT(store.replication_stats().rereplication_passes, 0u);
-  EXPECT_EQ(store.replication_stats().replica_writes,
-            store.replication_stats_snapshot().replica_writes);
+  EXPECT_GT(store.stats().replication.rereplication_passes, 0u);
 }
 
 TYPED_TEST(StoreConcurrencySuite, DetachReturnsToSerialMode) {

@@ -72,7 +72,7 @@ TEST(MovementGrowth, TargetOfTwoPerformsExactlyOneJoin) {
   EXPECT_EQ(store.backend().node_count(), 2u);
   // The single join's movement is the store's entire movement total.
   EXPECT_EQ(moved[0],
-            static_cast<double>(store.migration_stats().keys_moved_total));
+            static_cast<double>(store.stats().relocation.keys_moved_total));
   EXPECT_GT(moved[0], 0.0);
   EXPECT_EQ(store.size(), keys.size());
 }
@@ -94,7 +94,7 @@ std::vector<std::string> scenario_keys(std::size_t count) {
 }
 
 TEST(CorrelatedFailure, UnreplicatedRackFailureLosesItsKeys) {
-  kv::HrwKvStore store({21, 10}, 1);
+  kv::HrwKvStore store({21, 10}, placement::ReplicationSpec{1});
   const auto keys = scenario_keys(1500);
   const auto outcome = run_correlated_failure(store, 16, 3, keys, 77);
   EXPECT_EQ(outcome.failed, 3u);  // HRW never refuses
@@ -110,7 +110,7 @@ TEST(CorrelatedFailure, UnreplicatedRackFailureLosesItsKeys) {
 
 TEST(CorrelatedFailure, ReplicationClosesTheLossWindow) {
   // A single-node "rack" with k=2: no key can lose both copies.
-  kv::ChKvStore store({22, 16}, 2);
+  kv::ChKvStore store({22, 16}, placement::ReplicationSpec{2});
   const auto keys = scenario_keys(1000);
   const auto outcome = run_correlated_failure(store, 12, 1, keys, 78);
   EXPECT_EQ(outcome.failed, 1u);
@@ -120,7 +120,7 @@ TEST(CorrelatedFailure, ReplicationClosesTheLossWindow) {
 
 TEST(CorrelatedFailure, RackChoiceIsDeterministicPerSeed) {
   const auto run_once = [] {
-    kv::HrwKvStore store({23, 10}, 2);
+    kv::HrwKvStore store({23, 10}, placement::ReplicationSpec{2});
     const auto keys = scenario_keys(800);
     const auto outcome = run_correlated_failure(store, 12, 3, keys, 79);
     return outcome.keys_rereplicated;
@@ -129,7 +129,7 @@ TEST(CorrelatedFailure, RackChoiceIsDeterministicPerSeed) {
 }
 
 TEST(CorrelatedFailure, RejectsDegenerateRacks) {
-  kv::HrwKvStore store({24, 10}, 2);
+  kv::HrwKvStore store({24, 10}, placement::ReplicationSpec{2});
   const auto keys = scenario_keys(10);
   EXPECT_THROW((void)run_correlated_failure(store, 8, 0, keys, 1),
                InvalidArgument);
@@ -138,7 +138,7 @@ TEST(CorrelatedFailure, RejectsDegenerateRacks) {
 }
 
 TEST(RollingUpgrade, SweepsTheFleetWithoutLosingKeys) {
-  kv::HrwKvStore store({25, 10}, 2);
+  kv::HrwKvStore store({25, 10}, placement::ReplicationSpec{2});
   const auto keys = scenario_keys(1200);
   const auto outcome = run_rolling_upgrade(store, 10, keys);
   EXPECT_EQ(outcome.upgraded, 10u);  // HRW never refuses a drain
@@ -160,7 +160,7 @@ TEST(FailureDuringRepair, SecondCrashLandsWhileRepairIsQueued) {
   // while the DES schedules both crashes' rounds: overlapping them can
   // only shorten the makespan against the quiescent-repair reference,
   // never change the message count.
-  kv::HrwKvStore store({31, 10}, 2);
+  kv::HrwKvStore store({31, 10}, placement::ReplicationSpec{2});
   const auto keys = scenario_keys(1200);
   const auto outcome = run_failure_during_repair(store, 14, 2, keys, 91);
   EXPECT_EQ(outcome.failed_first, 2u);  // HRW never refuses
@@ -179,36 +179,36 @@ TEST(FailureDuringRepair, AccountingMatchesTheStoreChannels) {
   // The crash-phase totals are the store's replication channel, bit
   // for bit (the driver is cleared after preload, so compare deltas
   // over the crash phase - which is the whole channel delta here).
-  kv::ChKvStore store({32, 16}, 3);
+  kv::ChKvStore store({32, 16}, placement::ReplicationSpec{3});
   const auto keys = scenario_keys(900);
-  const auto before_lost = store.replication_stats().keys_lost;
-  const auto before_copies = store.replication_stats().keys_rereplicated;
+  const auto before_lost = store.stats().replication.keys_lost;
+  const auto before_copies = store.stats().replication.keys_rereplicated;
   const auto outcome = run_failure_during_repair(store, 12, 2, keys, 92);
   EXPECT_EQ(outcome.keys_lost,
-            store.replication_stats().keys_lost - before_lost);
+            store.stats().replication.keys_lost - before_lost);
   EXPECT_EQ(outcome.totals.keys_lost, outcome.keys_lost);
   // Growth joins repair an empty store (zero copies) and preload puts
   // count as replica_writes, not repairs - so the whole channel delta
   // is the crash phase, which is exactly what the cleared driver saw.
   EXPECT_EQ(outcome.totals.repair_copies,
-            store.replication_stats().keys_rereplicated - before_copies);
+            store.stats().replication.keys_rereplicated - before_copies);
   EXPECT_EQ(outcome.totals.repair_copies, outcome.keys_rereplicated);
 }
 
 TEST(FailureDuringRepair, UnreplicatedCrashesLoseKeysReplicatedOnesLoseLess) {
   const auto keys = scenario_keys(1000);
-  kv::JumpKvStore unreplicated({33, 10}, 1);
+  kv::JumpKvStore unreplicated({33, 10}, placement::ReplicationSpec{1});
   const auto k1 = run_failure_during_repair(unreplicated, 12, 2, keys, 93);
   EXPECT_GT(k1.keys_lost, 0u);  // no redundancy: both racks lose keys
 
-  kv::JumpKvStore replicated({33, 10}, 3);
+  kv::JumpKvStore replicated({33, 10}, placement::ReplicationSpec{3});
   const auto k3 = run_failure_during_repair(replicated, 12, 2, keys, 93);
   EXPECT_LT(k3.keys_lost, k1.keys_lost);
 }
 
 TEST(FailureDuringRepair, DeterministicPerSeed) {
   const auto run_once = [] {
-    kv::HrwKvStore store({34, 10}, 2);
+    kv::HrwKvStore store({34, 10}, placement::ReplicationSpec{2});
     const auto keys = scenario_keys(600);
     const auto outcome = run_failure_during_repair(store, 11, 2, keys, 94);
     return std::pair{outcome.keys_rereplicated,
@@ -218,7 +218,7 @@ TEST(FailureDuringRepair, DeterministicPerSeed) {
 }
 
 TEST(FailureDuringRepair, RejectsRacksThatLeaveNoSurvivor) {
-  kv::HrwKvStore store({35, 10}, 2);
+  kv::HrwKvStore store({35, 10}, placement::ReplicationSpec{2});
   const auto keys = scenario_keys(10);
   EXPECT_THROW((void)run_failure_during_repair(store, 8, 4, keys, 1),
                InvalidArgument);
@@ -234,7 +234,7 @@ TEST(RollingUpgrade, RefusedDrainsAreCountedAndSkipped) {
     c.pmin = 8;
     c.vmin = 8;
     c.seed = 26;
-    return kv::KvStore({c, 1}, 2);
+    return kv::KvStore({c, 1}, placement::ReplicationSpec{2});
   }();
   const auto keys = scenario_keys(600);
   const auto outcome = run_rolling_upgrade(store, 12, keys);

@@ -38,43 +38,46 @@ StoreT make_store(std::uint64_t seed, std::size_t replication);
 template <>
 kv::KvStore make_store<kv::KvStore>(std::uint64_t seed,
                                     std::size_t replication) {
-  return kv::KvStore({cfg(8, 8, seed), 1}, replication);
+  return kv::KvStore({cfg(8, 8, seed), 1},
+                     placement::ReplicationSpec{replication});
 }
 
 template <>
 kv::GlobalKvStore make_store<kv::GlobalKvStore>(std::uint64_t seed,
                                                 std::size_t replication) {
-  return kv::GlobalKvStore({cfg(8, 1, seed), 1}, replication);
+  return kv::GlobalKvStore({cfg(8, 1, seed), 1},
+                           placement::ReplicationSpec{replication});
 }
 
 template <>
 kv::ChKvStore make_store<kv::ChKvStore>(std::uint64_t seed,
                                         std::size_t replication) {
-  return kv::ChKvStore({seed, 16}, replication);
+  return kv::ChKvStore({seed, 16}, placement::ReplicationSpec{replication});
 }
 
 template <>
 kv::HrwKvStore make_store<kv::HrwKvStore>(std::uint64_t seed,
                                           std::size_t replication) {
-  return kv::HrwKvStore({seed, 12}, replication);
+  return kv::HrwKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 kv::JumpKvStore make_store<kv::JumpKvStore>(std::uint64_t seed,
                                             std::size_t replication) {
-  return kv::JumpKvStore({seed, 12}, replication);
+  return kv::JumpKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 kv::MaglevKvStore make_store<kv::MaglevKvStore>(std::uint64_t seed,
                                                 std::size_t replication) {
-  return kv::MaglevKvStore({seed, 12}, replication);
+  return kv::MaglevKvStore({seed, 12}, placement::ReplicationSpec{replication});
 }
 
 template <>
 kv::BoundedChKvStore make_store<kv::BoundedChKvStore>(std::uint64_t seed,
                                                       std::size_t replication) {
-  return kv::BoundedChKvStore({seed, 16, 0.25, 12}, replication);
+  return kv::BoundedChKvStore({seed, 16, 0.25, 12},
+                              placement::ReplicationSpec{replication});
 }
 
 ServingSpec uniform_spec(std::size_t keys, std::size_t requests) {
