@@ -18,7 +18,9 @@ class TransferCounter final : public dht::MutationObserver {
     ++count_;
   }
   void on_split(const dht::Partition&, dht::VNodeId) override { ++count_; }
-  void on_merge(const dht::Partition&, dht::VNodeId) override { ++count_; }
+  void on_merge(const dht::Partition&, dht::VNodeId, dht::VNodeId) override {
+    ++count_;
+  }
 
   std::size_t take() {
     const std::size_t value = count_;

@@ -34,9 +34,12 @@ class MutationObserver {
   /// `partition` was binary-split in place (owner keeps both halves).
   virtual void on_split(const Partition& partition, VNodeId owner) = 0;
 
-  /// The two halves of `parent` were merged back, owned by `owner`
-  /// afterwards (the odd half may have changed hands implicitly).
-  virtual void on_merge(const Partition& parent, VNodeId owner) = 0;
+  /// The two halves of `parent` were merged back, owned afterwards by
+  /// `owner` (the even half's owner). `odd_owner` held the odd half
+  /// until the merge: when it differs from `owner`, the odd half
+  /// changed hands here, with no on_transfer of its own.
+  virtual void on_merge(const Partition& parent, VNodeId owner,
+                        VNodeId odd_owner) = 0;
 };
 
 /// Common machinery of GlobalDht and LocalDht. Not polymorphic-deletable

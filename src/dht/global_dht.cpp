@@ -90,8 +90,9 @@ void GlobalDht::merge_everything() {
   });
 
   // Each buddy pair collapses into its parent, owned by whoever held
-  // the even half; the odd half is handed over first when it lives on a
-  // different vnode. Rebuild vnode partition lists and the routing map.
+  // the even half; the odd half changes hands when it lived on a
+  // different vnode (reported through on_merge). Rebuild vnode
+  // partition lists and the routing map.
   const unsigned merged_level = splitlevel_ - 1;
   for (const VNodeId id : live_vnodes()) vnodes_.at(id).partitions.clear();
   PartitionMap rebuilt;
@@ -102,7 +103,9 @@ void GlobalDht::merge_everything() {
     vnodes_.at(o).partitions.push_back(merged);
     rebuilt.insert(merged, o);
     ++new_counts.at(o);
-    if (observer_ != nullptr) observer_->on_merge(merged, o);
+    if (observer_ != nullptr) {
+      observer_->on_merge(merged, o, owner.at(prefix * 2 + 1));
+    }
   }
   pmap_ = std::move(rebuilt);
   for (const VNodeId id : live_vnodes()) {

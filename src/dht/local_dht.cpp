@@ -232,12 +232,14 @@ void LocalDht::merge_group_partitions(std::uint32_t slot,
   for (const auto& [prefix, owner] : owners) {
     if ((prefix & 1) != 0) continue;  // pairs are keyed by the even half
     const Partition merged = Partition::at(prefix >> 1, merged_level);
-    // The even half's owner keeps the merged partition (the odd half is
-    // an implicit handover when owned elsewhere).
+    // The even half's owner keeps the merged partition (the odd half
+    // changes hands when owned elsewhere; on_merge reports both).
     pmap_.merge(merged, owner);
     vnodes_.at(owner).partitions.push_back(merged);
     ++new_counts.at(owner);
-    if (observer_ != nullptr) observer_->on_merge(merged, owner);
+    if (observer_ != nullptr) {
+      observer_->on_merge(merged, owner, owners.at(prefix | 1));
+    }
   }
 
   for (const VNodeId m : g.members) g.lpdr.set_count(m, new_counts.at(m));

@@ -57,7 +57,7 @@
 // construction - cluster::ProtocolDriver is the canonical consumer.
 //
 // Repair passes are *planned*, not scanned: at k == 1 only the ranges
-// the event relocated or rebucketed are visited (as in the seed); at
+// the event relocated to another node are visited; at
 // k > 1 the pass visits only the shards overlapping the backend's
 // replica_dirty_ranges() - the concept's guarantee of where fallback
 // replicas can have changed - instead of every bucket in the store.
@@ -1052,9 +1052,9 @@ class Store final : private placement::RelocationObserver {
 
   /// Folds the backend's dirty report for the membership operation
   /// that just ran into the pending repair plan (k > 1 only; the
-  /// k == 1 plan is exactly the relocated/rebucketed ranges the
-  /// observer recorded). Nothing is collected once the pass is a full
-  /// scan anyway: forced, or the clamped replica target changed (the
+  /// k == 1 plan is exactly the cross-node relocations the observer
+  /// recorded). Nothing is collected once the pass is a full scan
+  /// anyway: forced, or the clamped replica target changed (the
   /// cluster crossed size k, so every materialized set size is stale).
   void collect_dirty() COBALT_REQUIRES(backend_mutex_) {
     if (replication_ == 1 || full_dirty_ ||
@@ -1490,11 +1490,6 @@ class Store final : private placement::RelocationObserver {
       COBALT_REQUIRES(backend_mutex_) {
     pending_events_.push_back({first, last, placement::kInvalidNode,
                                placement::kInvalidNode, /*rebucket=*/true});
-    // A buddy merge may hand the odd half over *implicitly* (the DHT
-    // adapters account that as rebucketing, not movement - see
-    // dht_backend.hpp), so the k == 1 repair must check these ranges
-    // too (for pure splits the check is a no-op).
-    if (replication_ == 1) pending_repair_.push_back({first, last});
   }
 
   /// Unguarded by design: mutated only under the exclusive backend

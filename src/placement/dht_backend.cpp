@@ -1,6 +1,7 @@
 #include "placement/dht_backend.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -33,6 +34,7 @@ NodeId DhtBackend<DhtT>::add_node(double capacity) {
   ++live_nodes_;
   const std::size_t count = target_vnodes(capacity);
   for (std::size_t v = 0; v < count; ++v) dht_.create_vnode(snode);
+  publish_moves();
   return static_cast<NodeId>(snode);
 }
 
@@ -52,11 +54,13 @@ bool DhtBackend<DhtT>::remove_node(NodeId node) {
       dht_.remove_vnode(members[drained]);
     } catch (const dht::UnsupportedTopology&) {
       for (std::size_t v = 0; v < drained; ++v) dht_.create_vnode(snode);
+      publish_moves();
       return false;
     }
   }
   node_live_[node] = false;
   --live_nodes_;
+  publish_moves();
   return true;
 }
 
@@ -203,14 +207,16 @@ bool DhtBackend<DhtT>::resize_node(NodeId node, double capacity) {
   const auto snode = static_cast<dht::SNodeId>(node);
   const std::size_t target = target_vnodes(capacity);
   while (dht_.snode(snode).vnodes.size() < target) dht_.create_vnode(snode);
-  while (dht_.snode(snode).vnodes.size() > target) {
+  bool resized = true;
+  while (resized && dht_.snode(snode).vnodes.size() > target) {
     try {
       dht_.remove_vnode(dht_.snode(snode).vnodes.back());
     } catch (const dht::UnsupportedTopology&) {
-      return false;
+      resized = false;
     }
   }
-  return true;
+  publish_moves();
+  return resized;
 }
 
 template <typename DhtT>
@@ -224,9 +230,7 @@ void DhtBackend<DhtT>::on_transfer(const dht::Partition& partition,
                                    dht::VNodeId from, dht::VNodeId to) {
   last_event_ranges_.push_back({partition.begin(), partition.last()});
   if (observer_ == nullptr) return;
-  observer_->on_relocate(partition.begin(), partition.last(),
-                         static_cast<NodeId>(dht_.vnode(from).snode),
-                         static_cast<NodeId>(dht_.vnode(to).snode));
+  record_move(partition.begin(), partition.last(), from, to);
 }
 
 template <typename DhtT>
@@ -235,7 +239,7 @@ void DhtBackend<DhtT>::on_split(const dht::Partition& partition,
   // Splits keep every owner, but the successor walk's step structure
   // still shifts with the tiling; recording them keeps the dirty
   // contract conservative (merges genuinely matter: a buddy merge may
-  // hand the odd half over implicitly).
+  // hand the odd half over).
   last_event_ranges_.push_back({partition.begin(), partition.last()});
   if (observer_ == nullptr) return;
   observer_->on_rebucket(partition.begin(), partition.last());
@@ -243,10 +247,61 @@ void DhtBackend<DhtT>::on_split(const dht::Partition& partition,
 
 template <typename DhtT>
 void DhtBackend<DhtT>::on_merge(const dht::Partition& parent,
-                                dht::VNodeId /*owner*/) {
+                                dht::VNodeId owner, dht::VNodeId odd_owner) {
   last_event_ranges_.push_back({parent.begin(), parent.last()});
   if (observer_ == nullptr) return;
+  if (odd_owner != owner) {
+    const dht::Partition odd = parent.split().second;
+    record_move(odd.begin(), odd.last(), odd_owner, owner);
+  }
   observer_->on_rebucket(parent.begin(), parent.last());
+}
+
+template <typename DhtT>
+void DhtBackend<DhtT>::record_move(HashIndex first, HashIndex last,
+                                   dht::VNodeId from, dht::VNodeId to) {
+  // Cut the moves straddling either end of [first, last], so every
+  // move overlapping the range lies inside it.
+  const auto cut_at = [this](HashIndex h) {
+    const auto right = moves_.upper_bound(h);
+    if (right == moves_.begin()) return;
+    const auto left = std::prev(right);
+    if (left->first == h || left->second.last < h) return;
+    moves_.emplace_hint(right, h, left->second);
+    left->second.last = h - 1;
+  };
+  cut_at(first);
+  if (last != HashSpace::kMaxIndex) cut_at(last + 1);
+  // Walk the range: parts already moved in this call move on to `to`;
+  // the gaps between them start their move here, from `from`.
+  HashIndex at = first;
+  auto it = moves_.lower_bound(first);
+  for (;;) {
+    HashIndex end;
+    if (it != moves_.end() && it->first == at) {
+      it->second.to = to;
+      end = it->second.last;
+      ++it;
+    } else {
+      end = it != moves_.end() && it->first <= last ? it->first - 1 : last;
+      moves_.emplace_hint(it, at, Move{end, from, to});
+    }
+    if (end == last) break;
+    at = end + 1;
+  }
+}
+
+template <typename DhtT>
+void DhtBackend<DhtT>::publish_moves() {
+  if (observer_ != nullptr) {
+    for (const auto& [first, move] : moves_) {
+      if (move.from == move.to) continue;  // came back: no move at all
+      observer_->on_relocate(first, move.last,
+                             static_cast<NodeId>(dht_.vnode(move.from).snode),
+                             static_cast<NodeId>(dht_.vnode(move.to).snode));
+    }
+  }
+  moves_.clear();
 }
 
 template class DhtBackend<dht::GlobalDht>;

@@ -13,13 +13,22 @@
 // into node-level RelocationObserver ranges: a partition handover
 // becomes an on_relocate over the partition's hash range (from == to
 // when both vnodes share the snode), and split/merge waves become
-// on_rebucket ranges. Buddy merges during removal drains may hand the
-// odd half over implicitly; like the seed KV layer, the adapter
-// accounts those as rebucketing, not movement.
+// on_rebucket ranges. A buddy merge also hands the odd half over to
+// the even half's owner when another vnode held it, which counts as a
+// handover of that half.
+//
+// One membership call can move a range more than once: a drained
+// partition merged on, a merged half drained off, a rebalance after a
+// drain. The adapter reports *net* moves: it composes the handovers of
+// each call and publishes them when the call returns, one on_relocate
+// per range from the vnode that held it before the call to the vnode
+// holding it after (a range that came back to its vnode is no move),
+// so the relocations count every key whose owner changed exactly once.
 
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <string_view>
 #include <vector>
 
@@ -175,11 +184,28 @@ class DhtBackend final : private dht::MutationObserver {
   [[nodiscard]] std::size_t target_vnodes(double capacity) const;
 
  private:
+  /// A range's ownership over the running membership call: held by
+  /// vnode `from` before the call, by `to` now.
+  struct Move {
+    HashIndex last;
+    dht::VNodeId from;
+    dht::VNodeId to;
+  };
+
   // dht::MutationObserver -> RelocationObserver translation.
   void on_transfer(const dht::Partition& partition, dht::VNodeId from,
                    dht::VNodeId to) override;
   void on_split(const dht::Partition& partition, dht::VNodeId owner) override;
-  void on_merge(const dht::Partition& parent, dht::VNodeId owner) override;
+  void on_merge(const dht::Partition& parent, dht::VNodeId owner,
+                dht::VNodeId odd_owner) override;
+
+  /// Composes one handover of [first, last] into moves_.
+  void record_move(HashIndex first, HashIndex last, dht::VNodeId from,
+                   dht::VNodeId to);
+
+  /// Reports the running call's net moves to the observer and clears
+  /// them (the end of every membership call).
+  void publish_moves();
 
   Options options_;
   DhtT dht_;
@@ -192,6 +218,9 @@ class DhtBackend final : private dht::MutationObserver {
   /// of every membership call), the raw material of
   /// replica_dirty_ranges().
   std::vector<HashRange> last_event_ranges_;
+  /// Net moves of the running membership call, disjoint, keyed by the
+  /// first index of their range (see record_move()).
+  std::map<HashIndex, Move> moves_;
 };
 
 /// The base model's one-record approach (section 2).

@@ -113,7 +113,8 @@ class RelocationObserver {
                            NodeId to) = 0;
 
   /// Keys hashed into [first, last] were re-indexed in place (binary
-  /// split or buddy merge); the responsible node is unchanged.
+  /// split or buddy merge). A merge that also hands a half to another
+  /// owner reports that half separately, through on_relocate.
   virtual void on_rebucket(HashIndex first, HashIndex last) = 0;
 };
 

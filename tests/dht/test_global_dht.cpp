@@ -152,7 +152,7 @@ class EventCounter final : public MutationObserver {
     last_transfer_from = from;
   }
   void on_split(const Partition&, VNodeId) override { ++splits; }
-  void on_merge(const Partition& parent, VNodeId) override {
+  void on_merge(const Partition& parent, VNodeId, VNodeId) override {
     ++merges;
     merged_level = parent.level();
   }

@@ -562,5 +562,35 @@ TYPED_TEST(DhtStoreSuite, AThrowingMembershipCallStillClosesItsEvent) {
   store.set_event_sink(nullptr);
 }
 
+TYPED_TEST(DhtStoreSuite, DrainsCountEveryKeyWhoseOwnerChanged) {
+  // Drains shrink the DHT back across powers of two, so buddy merges
+  // hand odd halves to the even halves' owners: every key whose owner
+  // changed must be counted as cross-node movement, merges included.
+  auto store = make_dht_store<TypeParam>(34, placement::ReplicationSpec{});
+  std::vector<placement::NodeId> nodes;
+  for (int n = 0; n < 12; ++n) nodes.push_back(store.add_node());
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4000; ++i) keys.push_back("d" + std::to_string(i));
+  for (const std::string& key : keys) store.put(key, "v");
+
+  bool merged = false;
+  for (std::size_t n = 0; n + 2 < nodes.size(); ++n) {
+    std::vector<placement::NodeId> before;
+    for (const std::string& key : keys) before.push_back(store.owner_of(key));
+    const placement::MigrationStats was = store.stats().relocation;
+    (void)store.remove_node(nodes[n]);
+    const placement::MigrationStats now = store.stats().relocation;
+    std::uint64_t changed = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      changed += store.owner_of(keys[i]) != before[i] ? 1 : 0;
+    }
+    EXPECT_EQ(now.keys_moved_across_nodes - was.keys_moved_across_nodes,
+              changed)
+        << "drain of node " << nodes[n];
+    merged = merged || now.keys_rebucketed > was.keys_rebucketed;
+  }
+  EXPECT_TRUE(merged) << "no drain merged partitions; the test is vacuous";
+}
+
 }  // namespace
 }  // namespace cobalt::kv

@@ -393,10 +393,9 @@ TEST(BoundedChBackend, ValidatesOptionsAndCapacity) {
 }
 
 // --- leave-side mass conservation for the grid-backed schemes -------
-// (The DHT adapters account implicit buddy-merge handovers as
-// rebucketing, so the exact leave-side ledger is a grid/ring-scheme
-// property; the join side is covered for all seven backends in
-// test_backend_properties.cpp.)
+// (The join side is covered for all seven backends in
+// test_backend_properties.cpp; the DHT adapters' drains are checked
+// against per-key owner diffs in tests/kv/test_store.cpp.)
 
 template <typename B>
 void expect_leave_conserves_mass(typename B::Options options) {
