@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -247,13 +246,13 @@ BENCHMARK(BM_ChKvPut);
 //
 //   store_put/<scheme>       put throughput on a warm 16-node store
 //   store_get/<scheme>       point-lookup throughput over resident keys
-//   store_event_k1/<scheme>/threads:T
+//   store_event_k1/<scheme>/threads:1
 //                            membership events on a loaded k=1 store
 //                            (each join pays relocation accounting plus
 //                            the k=1 repair of the relocated ranges -
 //                            the growth repair path of run_growth /
 //                            run_movement_growth)
-//   store_repair_k3/<scheme>/threads:T
+//   store_repair_k3/<scheme>/threads:1
 //                            membership events on a loaded k=3 store
 //                            (each event runs the fallback-replica
 //                            repair pass - the abl8 hot path)
@@ -262,14 +261,13 @@ BENCHMARK(BM_ChKvPut);
 //                            threads against one shard-concurrent
 //                            store (the read-scaling surface)
 //
-// The threads axis: for the membership benches T is the size of the
-// cobalt::ThreadPool the store runs its shard-parallel repair and
-// relocation-flush passes on (T = 1 is the serial engine - no pool
-// attached, no locks taken - so that cell tracks the historical
-// single-threaded trajectory). For the contended mix T is the number
-// of google-benchmark driver threads hammering the store's locked
-// read/write paths. Cells are only comparable at equal T; see
-// scripts/check_bench_regression.py.
+// The membership benches run the serial store (no locks taken); their
+// /threads:1 suffix is kept so the cell names continue the historical
+// trajectory - a membership event runs on the calling thread in either
+// store mode, so there is no thread axis to sweep. For the contended
+// mix T is the number of google-benchmark driver threads hammering the
+// store's locked read/write paths. Cells are only comparable at equal
+// T; see scripts/check_bench_regression.py.
 
 constexpr std::size_t kStoreBenchKeys = 20000;
 
@@ -353,18 +351,13 @@ void BM_StoreGet(benchmark::State& state) {
 /// One iteration = 16 joins into a store preloaded with kStoreBenchKeys
 /// keys (preload untimed). At k = 1 every join pays the relocation
 /// accounting plus the ranged repair; at k = 3 it additionally pays the
-/// fallback-replica repair pass. range(0) is the repair pool size
-/// (1 = the serial engine, no pool attached).
+/// fallback-replica repair pass.
 template <typename StoreT, std::size_t kReplication>
 void BM_StoreMembershipEvents(benchmark::State& state) {
   constexpr int kJoins = 16;
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::optional<cobalt::ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
   for (auto _ : state) {
     state.PauseTiming();
     auto store = make_bench_store<StoreT>(44, kReplication);
-    if (pool) store.set_thread_pool(&*pool);
     for (std::size_t n = 0; n < 4; ++n) store.add_node();
     for (std::uint64_t i = 0; i < kStoreBenchKeys; ++i) {
       store.put(bench_key(i), "v");
@@ -422,15 +415,11 @@ void register_store_benches(const char* scheme) {
   benchmark::RegisterBenchmark(("store_event_k1/" + name).c_str(),
                                BM_StoreMembershipEvents<StoreT, 1>)
       ->ArgName("threads")
-      ->Arg(1)
-      ->Arg(2)
-      ->Arg(4);
+      ->Arg(1);
   benchmark::RegisterBenchmark(("store_repair_k3/" + name).c_str(),
                                BM_StoreMembershipEvents<StoreT, 3>)
       ->ArgName("threads")
-      ->Arg(1)
-      ->Arg(2)
-      ->Arg(4);
+      ->Arg(1);
   benchmark::RegisterBenchmark(("store_contended_mix/" + name).c_str(),
                                BM_StoreContendedMix<StoreT>)
       ->Threads(1)

@@ -9,8 +9,8 @@ family (micro_ops --json output: {"benchmarks": [{"name", "real_time",
 annotation format when running in Actions).
 
 The threads dimension: bench cells carry a /threads:T suffix (the
-store's repair pool size, or the driver thread count for the contended
-mix). Cells are only ever compared at equal T - the exact-name match
+driver thread count of the contended mix; the membership families keep
+a single threads:1 cell). Cells are only ever compared at equal T - the exact-name match
 guarantees it, and a baseline name without a suffix is treated as its
 family's threads:1 cell so the gate stays meaningful across the
 naming migration. The fresh run's thread-scaling curves are printed

@@ -1,9 +1,8 @@
 // cobalt/cluster/topology.hpp
 //
 // Physical cluster structure: every node gets a (rack, zone)
-// coordinate, racks carry a weight (their node count, optionally
-// capacity-weighted), and racks/zones can be given operator-facing
-// names ("failure domains"). The Topology is the single source of
+// coordinate, and racks/zones can be given operator-facing names
+// ("failure domains"). The Topology is the single source of
 // truth that the spread-aware replica filter
 // (placement/replication_spec.hpp), the tiered NetworkModel, the
 // FaultPlan rack-fault helpers and the serving sim's failover router
@@ -15,10 +14,9 @@
 // flat placement: every node is its own failure domain, so a
 // rack-spread walk over singleton racks is the plain ranked walk.
 //
-// The topology is built up front (assign()/uniform()) and then read
-// concurrently from repair workers; mutating it while placement
-// threads read it is a data race by contract, same as mutating a
-// backend mid-read.
+// The topology is built up front (assign()/uniform()) and then only
+// read; mutating it while placement threads read it is a data race by
+// contract, same as mutating a backend mid-read.
 
 #pragma once
 
@@ -55,15 +53,13 @@ class Topology {
 
   /// Place `node` in `rack` (and `rack` in `zone`; a rack lives in
   /// exactly one zone — the last assignment wins for the whole rack).
-  /// `weight` scales the node's contribution to the rack weight.
-  void assign(NodeId node, RackId rack, ZoneId zone = 0,
-              double weight = 1.0) {
-    auto [it, inserted] = nodes_.try_emplace(node, Placement{rack, weight});
+  void assign(NodeId node, RackId rack, ZoneId zone = 0) {
+    auto [it, inserted] = nodes_.try_emplace(node, rack);
     if (!inserted) {
-      rack_entry(it->second.rack).remove(weight_of(it->second));
-      it->second = Placement{rack, weight};
+      --racks_[it->second].count;
+      it->second = rack;
     }
-    rack_entry(rack).add(weight);
+    ++racks_[rack].count;
     rack_zone_[rack] = zone;
     zones_.try_emplace(zone);
   }
@@ -87,7 +83,7 @@ class Topology {
 
   /// Operator-facing failure-domain names ("rack-a12", "eu-west-1b").
   void name_rack(RackId rack, std::string name) {
-    rack_entry(rack).name = std::move(name);
+    racks_[rack].name = std::move(name);
   }
   void name_zone(ZoneId zone, std::string name) {
     zones_[zone].name = std::move(name);
@@ -109,12 +105,12 @@ class Topology {
   /// singleton ids, so these are total functions.
   RackId rack_of(NodeId node) const {
     auto it = nodes_.find(node);
-    return it == nodes_.end() ? synthetic_rack(node) : it->second.rack;
+    return it == nodes_.end() ? synthetic_rack(node) : it->second;
   }
   ZoneId zone_of(NodeId node) const {
     auto it = nodes_.find(node);
     if (it == nodes_.end()) return synthetic_rack(node);
-    auto zit = rack_zone_.find(it->second.rack);
+    auto zit = rack_zone_.find(it->second);
     return zit == rack_zone_.end() ? synthetic_rack(node) : zit->second;
   }
   ZoneId zone_of_rack(RackId rack) const {
@@ -135,10 +131,6 @@ class Topology {
     auto it = racks_.find(rack);
     return it == racks_.end() ? 0 : it->second.count;
   }
-  double rack_weight(RackId rack) const {
-    auto it = racks_.find(rack);
-    return it == racks_.end() ? 0.0 : it->second.weight;
-  }
 
   /// All explicitly assigned racks (synthetic singletons excluded),
   /// sorted by id for deterministic iteration.
@@ -155,8 +147,8 @@ class Topology {
   /// Members of one rack, sorted by node id.
   std::vector<NodeId> nodes_in_rack(RackId rack) const {
     std::vector<NodeId> out;
-    for (const auto& [node, placement] : nodes_) {
-      if (placement.rack == rack) out.push_back(node);
+    for (const auto& [node, node_rack] : nodes_) {
+      if (node_rack == rack) out.push_back(node);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -164,8 +156,8 @@ class Topology {
 
   std::vector<NodeId> nodes_in_zone(ZoneId zone) const {
     std::vector<NodeId> out;
-    for (const auto& [node, placement] : nodes_) {
-      auto it = rack_zone_.find(placement.rack);
+    for (const auto& [node, node_rack] : nodes_) {
+      auto it = rack_zone_.find(node_rack);
       if (it != rack_zone_.end() && it->second == zone) out.push_back(node);
     }
     std::sort(out.begin(), out.end());
@@ -207,29 +199,12 @@ class Topology {
   }
 
  private:
-  struct Placement {
-    RackId rack = 0;
-    double weight = 1.0;
-  };
   struct DomainEntry {
     std::string name;
     std::size_t count = 0;
-    double weight = 0.0;
-    void add(double w) {
-      ++count;
-      weight += w;
-    }
-    void remove(double w) {
-      if (count > 0) --count;
-      weight -= w;
-    }
   };
 
-  static double weight_of(const Placement& p) { return p.weight; }
-
-  DomainEntry& rack_entry(RackId rack) { return racks_[rack]; }
-
-  std::unordered_map<NodeId, Placement> nodes_;
+  std::unordered_map<NodeId, RackId> nodes_;
   std::unordered_map<RackId, DomainEntry> racks_;
   std::unordered_map<RackId, ZoneId> rack_zone_;
   std::unordered_map<ZoneId, DomainEntry> zones_;

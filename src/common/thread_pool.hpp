@@ -1,11 +1,9 @@
 // cobalt/common/thread_pool.hpp
 //
 // A fixed-size worker pool with a parallel-for helper. The experiment
-// harness runs the paper's 100-run averages across hardware threads,
-// and the KV store runs its shard-parallel repair and relocation-flush
-// passes on the same pool; each unit of work owns independent state
-// (an RNG stream, a shard), so tasks are embarrassingly parallel and
-// deterministic regardless of scheduling.
+// harness runs the paper's 100-run averages across hardware threads;
+// each run owns independent state (its RNG stream), so tasks are
+// embarrassingly parallel and deterministic regardless of scheduling.
 
 #pragma once
 

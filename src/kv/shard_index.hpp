@@ -39,7 +39,8 @@
 //     shards_ vector layout (shard count, boundaries, the bucket
 //     vectors' identities). Point readers and in-shard writers hold
 //     it shared; split/merge (put overflow, erase of a shard's last
-//     bucket, the repair pass's regrouping) hold it exclusive.
+//     bucket) and the repair walk, one shard visit at a time, hold it
+//     exclusive.
 //   * stripe locks - kLockStripes reader/writer locks tiling R_h by
 //     its top bits. A reader of one bucket holds the single stripe of
 //     its hash shared; a writer mutating anything inside shard i
@@ -47,8 +48,8 @@
 //     shard's whole stripe span exclusive, ascending. Because a
 //     bucket's stripe always lies inside its shard's span, one
 //     in-shard writer excludes exactly the readers of that shard -
-//     which is what lets gets proceed against shards not under
-//     repair while pool workers repair other shards.
+//     which is what lets gets proceed against shards other writers
+//     are mutating.
 // Lock order: structure before stripes, stripes ascending. The
 // cross-shard total_entries_ counter is atomic so disjoint in-shard
 // writers need no shared lock for it.
@@ -350,7 +351,7 @@ class ShardIndex {
   // the linter's DAG: structure before stripes, nothing after stripes.
 
   /// Shared hold of the tiling: point readers, in-shard writers,
-  /// scans, repair phase A.
+  /// scans, the relocation flush.
   class COBALT_SCOPED_CAPABILITY StructureSharedLock {
    public:
     explicit StructureSharedLock(const ShardIndex& index, bool engage = true)
@@ -371,7 +372,7 @@ class ShardIndex {
   };
 
   /// Exclusive hold of the tiling (split/merge, structural retries,
-  /// repair phase B). Claims the content capability too: by the
+  /// each shard visit of the repair walk). Claims the content capability too: by the
   /// discipline above, every content reader or writer holds the
   /// structure lock at least shared, so an exclusive tiling hold
   /// excludes all content access without touching a stripe.
@@ -396,7 +397,7 @@ class ShardIndex {
   };
 
   /// Exclusive hold of the stripes covering shard `shard` (in-shard
-  /// writers, repair phase A). The span derives from the tiling, hence
+  /// writers). The span derives from the tiling, hence
   /// the shared structure requirement - the checked form of the old
   /// "caller must hold structure_mutex() at least shared" comment.
   class COBALT_SCOPED_CAPABILITY ShardSpanLock {

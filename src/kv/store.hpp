@@ -74,8 +74,9 @@
 // the backend.
 //
 // Threading model (opt-in). By default the store is the serial data
-// structure above: no locks, no atomics on any hot path. Attaching a
-// worker pool (set_thread_pool()) switches it into concurrent mode:
+// structure above: no locks, no atomics on any hot path.
+// set_thread_pool() switches it into concurrent mode, which runs the
+// very same code with its locks engaged - no work moves to the pool:
 //   * backend_mutex_ (a shared_mutex): membership events - driven
 //     from one thread at a time - hold it exclusively end to end
 //     (mutation, dirty collection, relocation flush, repair, sink
@@ -88,8 +89,9 @@
 //     reads take the structure lock shared and one stripe shared;
 //     in-shard writers take the shard's stripe span exclusively;
 //     structural changes (shard split/merge) take the structure lock
-//     exclusively. A get therefore proceeds concurrently against any
-//     shard not under repair or mutation.
+//     exclusively. The repair walk takes it exclusively once per shard
+//     visit, so gets get through between shards; the relocation flush
+//     counts under the structure lock and every stripe held shared.
 //   * accounting_mutex_ orders the stats channels between holders of
 //     the shared backend lock (concurrent puts, snapshot readers); a
 //     membership event needs no extra ordering - its exclusive
@@ -105,20 +107,11 @@
 // claims the same capabilities through disengaged wrappers (sound:
 // serial mode is single-threaded by contract), so both modes are
 // analyzed as one body of code.
-// The heavy passes fan out per shard on the attached
-// pool: the k > 1 planned-repair pass repairs its planned shards in
-// parallel (phase A: per-shard patches and desired-run computation
-// under stripe spans, accounting accumulated per worker task; then a
-// deterministic merge adds the per-range sums and emits repair
-// batches in plan order; phase B applies structural regroups serially
-// under the exclusive structure lock), the relocation flush counts
-// its event ranges in parallel and emits them serially in event
-// order, and a full-scan fallback is just the plan [0, kMaxIndex]
-// through the same machinery. Totals are therefore exact - not
-// approximately merged - under any interleaving, and a store driven
-// by one thread produces bit-identical results with and without a
-// pool. Detaching (set_thread_pool(nullptr)) restores the serial
-// mode; both switches require the store to be externally quiescent.
+// Both modes share one relocation-flush loop and one repair walk (the
+// walk's per-shard exclusive holds are what let readers through), so a
+// store driven by one thread produces bit-identical results in either
+// mode. Detaching (set_thread_pool(nullptr)) restores the serial mode;
+// both switches require the store to be externally quiescent.
 
 #pragma once
 
@@ -134,7 +127,6 @@
 #include "cluster/topology.hpp"
 #include "common/error.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
 #include "hashing/hash.hpp"
 #include "kv/shard_index.hpp"
 #include "kv/store_events.hpp"
@@ -146,6 +138,10 @@
 #include "placement/hrw_backend.hpp"
 #include "placement/jump_backend.hpp"
 #include "placement/maglev_backend.hpp"
+
+namespace cobalt {
+class ThreadPool;
+}  // namespace cobalt
 
 namespace cobalt::kv {
 
@@ -310,18 +306,15 @@ class Store final : private placement::RelocationObserver {
     return topology_;
   }
 
-  /// Attaches a worker pool and switches the store into concurrent
-  /// mode (see the threading-model section of the header comment), or
-  /// detaches it (nullptr) and returns to the serial, lock-free mode.
-  /// Either switch requires external quiescence: no other thread may
-  /// be inside a store call. The pool must outlive the store or be
-  /// detached first; it may be shared with other stores.
-  void set_thread_pool(ThreadPool* pool) {
-    pool_ = pool;
-    concurrent_ = (pool != nullptr);
-  }
+  /// Switches the store into concurrent mode (any non-null pool; see
+  /// the threading-model section of the header comment), or back to
+  /// the serial, lock-free mode (nullptr). The pool does no work: the
+  /// store never submits to it, it only selects the mode - every pass
+  /// runs on the calling thread either way. Either switch requires
+  /// external quiescence: no other thread may be inside a store call.
+  void set_thread_pool(ThreadPool* pool) { concurrent_ = (pool != nullptr); }
 
-  /// True while a pool is attached (the concurrent mode is engaged).
+  /// True in concurrent mode (a pool was attached).
   [[nodiscard]] bool concurrent() const { return concurrent_; }
 
   /// Cluster membership. Every change is followed by one
@@ -787,10 +780,8 @@ class Store final : private placement::RelocationObserver {
     bool rebucket;
   };
 
-  /// Per-worker repair accounting: the two per-range counters a repair
-  /// walk accumulates. Workers fill their own instance; the merge adds
-  /// them into ReplicationStats in plan order, so the totals are
-  /// identical to the serial pass under any scheduling.
+  /// The per-range counters a repair walk accumulates before adding
+  /// them into ReplicationStats and reporting the range's batch.
   struct RepairAcc {
     std::uint64_t copies = 0;
     std::uint64_t lost = 0;
@@ -805,23 +796,6 @@ class Store final : private placement::RelocationObserver {
     std::size_t buckets;
     std::uint64_t entries;
     std::vector<placement::NodeId> replicas;
-  };
-
-  /// One plan range's slice of a repair task (see repair_plan_parallel).
-  struct SpanWork {
-    std::size_t range_id;
-    HashIndex lo;
-    HashIndex hi;
-    RepairAcc acc;
-  };
-
-  /// One shard's worth of parallel repair work: the spans to walk and
-  /// the phase-B regroup payload the walk computed.
-  struct ShardWork {
-    std::size_t shard;
-    std::vector<SpanWork> spans;
-    std::vector<DesiredRun> runs;
-    bool regroup = false;
   };
 
   [[nodiscard]] HashIndex hash_key(const std::string& key) const {
@@ -979,75 +953,34 @@ class Store final : private placement::RelocationObserver {
   /// order. Its one caller is the repair pass of the membership event
   /// that recorded them, before the pass touches a bucket, so every
   /// event is counted against exactly the key population it found
-  /// when it fired - the seed's per-event count_range, batched.
-  /// Concurrent mode counts the event ranges in parallel on the pool
-  /// (counting mutates nothing, and the exclusive backend hold keeps
-  /// writers out), then applies and emits serially in event order -
-  /// same totals, same sink stream.
+  /// when it fired - the seed's per-event count_range, batched. The
+  /// structure lock and every stripe are held shared (in concurrent
+  /// mode), so reads proceed throughout; the exclusive backend hold
+  /// keeps every writer out.
   void flush_relocations() COBALT_REQUIRES(backend_mutex_) {
     if (pending_events_.empty()) return;
     const MaybeLockGuard acc(accounting_mutex_, concurrent_);
-    if (!concurrent_) {
-      const ShardIndex::StructureSharedLock structure(index_,
-                                                      /*engage=*/false);
-      const ShardIndex::AllStripesSharedLock stripes(index_,
-                                                     /*engage=*/false);
-      for (const PendingEvent& event : pending_events_) {
-        count_relocation(event, index_.count_range(event.first, event.last));
-      }
-    } else {
-      const std::size_t n = pending_events_.size();
-      std::vector<std::uint64_t> keys(n);
-      {
-        const ShardIndex::StructureSharedLock structure(index_);
-        const ShardIndex::AllStripesSharedLock stripes(index_);
-        if (n > 1) {
-          parallel_for(*pool_, n, [this, &keys](std::size_t e) {
-            count_pending_range(e, keys);
-          });
-        } else {
-          keys[0] = index_.count_range(pending_events_[0].first,
-                                       pending_events_[0].last);
+    const ShardIndex::StructureSharedLock structure(index_, concurrent_);
+    const ShardIndex::AllStripesSharedLock stripes(index_, concurrent_);
+    for (const PendingEvent& event : pending_events_) {
+      const std::uint64_t keys = index_.count_range(event.first, event.last);
+      if (event.rebucket) {
+        relocation_stats_.keys_rebucketed += keys;
+      } else {
+        relocation_stats_.keys_moved_total += keys;
+        if (event.from != event.to) {
+          relocation_stats_.keys_moved_across_nodes += keys;
         }
       }
-      for (std::size_t e = 0; e < n; ++e) {
-        count_relocation(pending_events_[e], keys[e]);
+      // The sink sees exactly what the stats channel counted - same
+      // ranges, same pre-mutation key population - so a protocol model
+      // summing these batches reproduces MigrationStats bit for bit.
+      if (event_sink_ != nullptr) {
+        event_sink_->on_relocation_batch(event.first, event.last, event.from,
+                                         event.to, keys, event.rebucket);
       }
     }
     pending_events_.clear();
-  }
-
-  /// Counts one pending event's range, on a pool worker. The worker
-  /// runs under the flushing caller's shared structure and all-stripes
-  /// holds (parallel_for keeps the caller blocked until the barrier) -
-  /// a cross-thread cover outside the analysis' thread-local model,
-  /// hence the suppression. The walk takes no locks and mutates
-  /// nothing.
-  void count_pending_range(std::size_t e, std::vector<std::uint64_t>& keys)
-      const COBALT_NO_THREAD_SAFETY_ANALYSIS {
-    keys[e] = index_.count_range(pending_events_[e].first,
-                                 pending_events_[e].last);
-  }
-
-  /// Applies one counted relocation event to the stats channel and the
-  /// sink (the shared tail of both flush modes).
-  void count_relocation(const PendingEvent& event, std::uint64_t keys)
-      COBALT_REQUIRES(accounting_mutex_) {
-    if (event.rebucket) {
-      relocation_stats_.keys_rebucketed += keys;
-    } else {
-      relocation_stats_.keys_moved_total += keys;
-      if (event.from != event.to) {
-        relocation_stats_.keys_moved_across_nodes += keys;
-      }
-    }
-    // The sink sees exactly what the stats channel counted - same
-    // ranges, same pre-mutation key population - so a protocol model
-    // summing these batches reproduces MigrationStats bit for bit.
-    if (event_sink_ != nullptr) {
-      event_sink_->on_relocation_batch(event.first, event.last, event.from,
-                                       event.to, keys, event.rebucket);
-    }
   }
 
   /// Folds the backend's dirty report for the membership operation
@@ -1072,12 +1005,16 @@ class Store final : private placement::RelocationObserver {
   /// transfer to get from the materialized sets to the desired ones.
   /// With `crash` set, a bucket whose materialized set has no live
   /// survivor is counted lost. A full-scan fallback is the plan
-  /// [0, kMaxIndex] through the same walk. Concurrent mode hands the
-  /// plan to the shard-parallel pass (see repair_plan_parallel).
+  /// [0, kMaxIndex] through the same walk.
   ///
-  /// The whole pass runs under the accounting lock in concurrent mode
-  /// (uncontended: the exclusive backend hold already excludes every
-  /// other accountant - the lock is for the analysis).
+  /// In concurrent mode each shard visit runs under its own exclusive
+  /// structure hold, so point reads get through between shards. The
+  /// exclusive backend hold keeps every writer out, so only this walk
+  /// changes the tiling and the shard index stays valid between holds.
+  /// Repair batches are reported outside every structure hold. The
+  /// whole pass runs under the accounting lock (uncontended: the
+  /// exclusive backend hold already excludes every other accountant -
+  /// the lock is for the analysis).
   void rereplicate(bool crash) COBALT_REQUIRES(backend_mutex_) {
     flush_relocations();
     if (backend_.node_count() == 0) {
@@ -1120,131 +1057,28 @@ class Store final : private placement::RelocationObserver {
     // Ranges are disjoint and ascending; a shard overlapping two
     // ranges is visited once per range but only over each range's
     // own span, so no bucket repairs twice.
-    if (concurrent_) {
-      repair_plan_parallel(plan, target, crash);
-    } else {
-      const ShardIndex::StructureExclusiveLock structure(index_,
-                                                         /*engage=*/false);
-      for (const placement::HashRange& range : plan) {
-        RepairAcc acc;
-        std::size_t i = index_.shard_of(range.first);
-        while (i < index_.shard_count() &&
-               index_.shard_first(i) <= range.last) {
-          ++replication_stats_.repair_shards_visited;
-          i += repair_shard(i, range.first, range.last, target, crash, acc);
+    for (const placement::HashRange& range : plan) {
+      RepairAcc acc;
+      std::size_t i = 0;
+      {
+        const ShardIndex::StructureSharedLock structure(index_, concurrent_);
+        i = index_.shard_of(range.first);
+      }
+      for (;;) {
+        const ShardIndex::StructureExclusiveLock structure(index_,
+                                                           concurrent_);
+        if (i >= index_.shard_count() || index_.shard_first(i) > range.last) {
+          break;
         }
-        replication_stats_.keys_rereplicated += acc.copies;
-        replication_stats_.keys_rereplicated_cross_rack += acc.cross_rack;
-        replication_stats_.keys_rereplicated_cross_zone += acc.cross_zone;
-        replication_stats_.keys_lost += acc.lost;
-        emit_repair_batch(range.first, range.last, acc.copies, acc.lost,
-                          target);
+        ++replication_stats_.repair_shards_visited;
+        i += repair_shard(i, range.first, range.last, target, crash, acc);
       }
-    }
-  }
-
-  /// The shard-parallel repair pass (concurrent mode; the surrounding
-  /// membership call holds backend_mutex_ exclusively, so no writer
-  /// can race the plan). Phase A repairs every planned shard in
-  /// parallel on the pool - per-shard patches, empty-shard refreshes
-  /// and desired-run computation under the shard's stripe span, with
-  /// accounting accumulated on the worker's own task - while point
-  /// reads keep flowing through every other shard. The merge then adds
-  /// the per-range sums into ReplicationStats and emits the repair
-  /// batches in plan order (deterministic and equal to the serial
-  /// pass: integer sums over disjoint shards commute). Phase B applies
-  /// the structural regroups serially, ascending, under the exclusive
-  /// structure lock - splits are contained inside their own shard, so
-  /// a running index offset is the only cross-shard effect.
-  void repair_plan_parallel(const std::vector<placement::HashRange>& plan,
-                            std::size_t target, bool crash)
-      COBALT_REQUIRES(backend_mutex_, accounting_mutex_) {
-    // Plan the walk up front against the pre-pass tiling: the serial
-    // pass visits exactly these (shard, range) pairs - its splits are
-    // always inside the range that caused them and are skipped by its
-    // own walk. A shard straddling two plan ranges appears once, with
-    // both spans, processed in range order.
-    std::vector<ShardWork> work;
-    {
-      const ShardIndex::StructureSharedLock structure(index_);
-      for (std::size_t r = 0; r < plan.size(); ++r) {
-        for (std::size_t i = index_.shard_of(plan[r].first);
-             i < index_.shard_count() &&
-             index_.shard_first(i) <= plan[r].last;
-             ++i) {
-          if (work.empty() || work.back().shard != i) {
-            work.push_back({i, {}, {}, false});
-          }
-          work.back().spans.push_back({r, plan[r].first, plan[r].last, {}});
-          ++replication_stats_.repair_shards_visited;
-        }
-      }
-    }
-    parallel_for(*pool_, work.size(), [this, &work, target, crash](
-                                          std::size_t t) {
-      repair_shard_task(work[t], target, crash);
-    });
-    // Deterministic merge: per-range integer sums in task order, then
-    // stats and sink emission in plan order - the same values, in the
-    // same order, as the serial pass.
-    std::vector<RepairAcc> per_range(plan.size());
-    for (const ShardWork& task : work) {
-      for (const SpanWork& sp : task.spans) {
-        per_range[sp.range_id].copies += sp.acc.copies;
-        per_range[sp.range_id].lost += sp.acc.lost;
-        per_range[sp.range_id].cross_rack += sp.acc.cross_rack;
-        per_range[sp.range_id].cross_zone += sp.acc.cross_zone;
-      }
-    }
-    for (std::size_t r = 0; r < plan.size(); ++r) {
-      replication_stats_.keys_rereplicated += per_range[r].copies;
-      replication_stats_.keys_rereplicated_cross_rack +=
-          per_range[r].cross_rack;
-      replication_stats_.keys_rereplicated_cross_zone +=
-          per_range[r].cross_zone;
-      replication_stats_.keys_lost += per_range[r].lost;
-      emit_repair_batch(plan[r].first, plan[r].last, per_range[r].copies,
-                        per_range[r].lost, target);
-    }
-    {
-      const ShardIndex::StructureExclusiveLock structure(index_);
-      std::size_t offset = 0;
-      for (ShardWork& task : work) {
-        if (!task.regroup) continue;
-        offset += apply_runs(task.shard + offset, task.runs) - 1;
-      }
-    }
-  }
-
-  /// One shard's phase-A repair work, on a pool worker: takes its own
-  /// shared structure hold and the shard's stripe span, walks the
-  /// task's spans, and leaves the accounting on the task (the merge
-  /// reads it after the barrier). The workers read the backend without
-  /// a claim: the coordinating membership thread holds backend_mutex_
-  /// exclusively for the whole pass, so the backend is frozen.
-  void repair_shard_task(ShardWork& task, std::size_t target, bool crash) {
-    static thread_local std::vector<placement::NodeId> scratch;
-    const ShardIndex::StructureSharedLock structure(index_);
-    const ShardIndex::ShardSpanLock span(index_, task.shard);
-    ShardIndex::Shard& s = index_.shard(task.shard);
-    for (SpanWork& sp : task.spans) {
-      if (s.buckets.empty()) {
-        // Nothing to account; refresh the cached set so future puts
-        // in this range usually match it.
-        desired_replicas_into(s.first, target, scratch);
-        if (s.replicas != scratch) s.replicas = scratch;
-        continue;
-      }
-      if (sp.lo > s.first || sp.hi < index_.shard_last(task.shard)) {
-        patch_shard(s, sp.lo, sp.hi, target, crash, scratch, sp.acc);
-        continue;
-      }
-      // Full coverage: compute the desired runs now (read-only);
-      // the structural application waits for phase B. A fully
-      // covered shard lies inside its range, so this is always the
-      // task's only span.
-      compute_runs(s, target, crash, scratch, task.runs, sp.acc);
-      task.regroup = true;
+      replication_stats_.keys_rereplicated += acc.copies;
+      replication_stats_.keys_rereplicated_cross_rack += acc.cross_rack;
+      replication_stats_.keys_rereplicated_cross_zone += acc.cross_zone;
+      replication_stats_.keys_lost += acc.lost;
+      emit_repair_batch(range.first, range.last, acc.copies, acc.lost,
+                        target);
     }
   }
 
@@ -1339,13 +1173,40 @@ class Store final : private placement::RelocationObserver {
     }
   }
 
-  /// Full-coverage repair, computation half: accounts every bucket of
-  /// `s` and appends its desired-run structure to `runs` (read-only on
-  /// the shard; apply_runs() is the mutation half).
-  void compute_runs(const ShardIndex::Shard& s, std::size_t target,
-                    bool crash, std::vector<placement::NodeId>& scratch,
-                    std::vector<DesiredRun>& runs, RepairAcc& acc) const
-      COBALT_REQUIRES_SHARED(index_.structure_mutex_, index_.stripes_cap_) {
+  /// Repairs one shard against plan range [lo, hi], in place. A shard
+  /// the range covers only partly is patched bucket by bucket (see
+  /// patch_shard); a fully covered one is accounted and then regrouped
+  /// by its runs of buckets sharing a desired set:
+  ///   * one run: the shard is one arc; adopt the set, drop overrides;
+  ///   * a few wide runs: split at the arc boundaries, one uniform
+  ///     shard per run (the per-shard replica design at work);
+  ///   * many narrow runs (cell-grained schemes): keep the shard, park
+  ///     the minority sets on per-bucket overrides - fragmenting the
+  ///     tiling per cell would cost more than it saves.
+  /// Structural splits only when every piece is worth a shard
+  /// (kMinArcBuckets average), bounding both the fragmentation and the
+  /// splice cost. Claims the exclusive structure hold. Returns the
+  /// number of shards the original was replaced by.
+  std::size_t repair_shard(std::size_t i, HashIndex lo, HashIndex hi,
+                           std::size_t target, bool crash, RepairAcc& acc)
+      COBALT_REQUIRES(backend_mutex_, index_.structure_mutex_,
+                      index_.stripes_cap_) {
+    static thread_local std::vector<placement::NodeId> scratch;
+    ShardIndex::Shard& s = index_.shard(i);
+    if (s.buckets.empty()) {
+      // Nothing to account; refresh the cached set so future puts
+      // in this range usually match it (pure optimization - the
+      // write path verifies anyway).
+      desired_replicas_into(s.first, target, scratch);
+      if (s.replicas != scratch) s.replicas = scratch;
+      return 1;
+    }
+    if (lo > s.first || hi < index_.shard_last(i)) {
+      patch_shard(s, lo, hi, target, crash, scratch, acc);
+      return 1;
+    }
+    std::vector<DesiredRun>& runs = runs_scratch_;
+    runs.clear();
     for (const ShardIndex::Bucket& bucket : s.buckets) {
       const std::vector<placement::NodeId>& materialized =
           effective_replicas(s, bucket);
@@ -1359,24 +1220,6 @@ class Store final : private placement::RelocationObserver {
       runs.back().buckets += 1;
       runs.back().entries += bucket.entries.size();
     }
-  }
-
-  /// Full-coverage repair, application half: regroups shard `i` by its
-  /// desired-set `runs`:
-  ///   * one run: the shard is one arc; adopt the set, drop overrides;
-  ///   * a few wide runs: split at the arc boundaries, one uniform
-  ///     shard per run (the per-shard replica design at work);
-  ///   * many narrow runs (cell-grained schemes): keep the shard, park
-  ///     the minority sets on per-bucket overrides - fragmenting the
-  ///     tiling per cell would cost more than it saves.
-  /// Structural splits only when every piece is worth a shard
-  /// (kMinArcBuckets average), bounding both the fragmentation and the
-  /// splice cost. Consumes `runs` (moves the replica vectors out).
-  /// Claims the exclusive structure hold. Returns the number of shards
-  /// the original was replaced by.
-  std::size_t apply_runs(std::size_t i, std::vector<DesiredRun>& runs)
-      COBALT_REQUIRES(index_.structure_mutex_, index_.stripes_cap_) {
-    ShardIndex::Shard& s = index_.shard(i);
     if (runs.size() == 1) {
       if (s.override_count != 0) {
         for (ShardIndex::Bucket& bucket : s.buckets) bucket.replicas.clear();
@@ -1405,65 +1248,32 @@ class Store final : private placement::RelocationObserver {
     }
     // Narrow arcs: the widest run becomes the shard's set, the rest
     // ride on overrides (exactly the seed's per-bucket footprint).
-    {
-      std::size_t widest = 0;
-      for (std::size_t r = 1; r < runs.size(); ++r) {
-        if (runs[r].entries > runs[widest].entries) {
-          widest = r;
-        }
+    std::size_t widest = 0;
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      if (runs[r].entries > runs[widest].entries) widest = r;
+    }
+    s.replicas = std::move(runs[widest].replicas);
+    s.override_count = 0;
+    std::size_t run = 0;
+    std::size_t run_left = runs[0].buckets;
+    for (ShardIndex::Bucket& bucket : s.buckets) {
+      while (run_left == 0) {
+        ++run;
+        run_left = runs[run].buckets;
       }
-      s.replicas = std::move(runs[widest].replicas);
-      s.override_count = 0;
-      std::size_t run = 0;
-      std::size_t run_left = runs[0].buckets;
-      for (ShardIndex::Bucket& bucket : s.buckets) {
-        while (run_left == 0) {
-          ++run;
-          run_left = runs[run].buckets;
-        }
-        --run_left;
-        // The widest run's set was moved into s.replicas; a
-        // non-adjacent run can repeat it (arcs A,B,A), and storing an
-        // override equal to the shard set would only disable the
-        // uniform fast paths - compare against the shard set, not the
-        // run index.
-        if (run == widest || runs[run].replicas == s.replicas) {
-          bucket.replicas.clear();
-        } else {
-          bucket.replicas = runs[run].replicas;
-          ++s.override_count;
-        }
+      --run_left;
+      // The widest run's set was moved into s.replicas; a non-adjacent
+      // run can repeat it (arcs A,B,A), and storing an override equal
+      // to the shard set would only disable the uniform fast paths -
+      // compare against the shard set, not the run index.
+      if (run == widest || runs[run].replicas == s.replicas) {
+        bucket.replicas.clear();
+      } else {
+        bucket.replicas = runs[run].replicas;
+        ++s.override_count;
       }
     }
     return 1;
-  }
-
-  /// Repairs one shard against plan range [lo, hi], in place (the
-  /// serial walk: a partially covered shard is patched, a fully
-  /// covered one regrouped - see patch_shard / compute_runs /
-  /// apply_runs). Returns the number of shards the original was
-  /// replaced by.
-  std::size_t repair_shard(std::size_t i, HashIndex lo, HashIndex hi,
-                           std::size_t target, bool crash, RepairAcc& acc)
-      COBALT_REQUIRES(backend_mutex_, index_.structure_mutex_,
-                      index_.stripes_cap_) {
-    static thread_local std::vector<placement::NodeId> scratch;
-    ShardIndex::Shard& s = index_.shard(i);
-    if (s.buckets.empty()) {
-      // Nothing to account; refresh the cached set so future puts
-      // in this range usually match it (pure optimization - the
-      // write path verifies anyway).
-      desired_replicas_into(s.first, target, scratch);
-      if (s.replicas != scratch) s.replicas = scratch;
-      return 1;
-    }
-    if (lo > s.first || hi < index_.shard_last(i)) {
-      patch_shard(s, lo, hi, target, crash, scratch, acc);
-      return 1;
-    }
-    runs_scratch_.clear();
-    compute_runs(s, target, crash, scratch, runs_scratch_, acc);
-    return apply_runs(i, runs_scratch_);
   }
 
   // RelocationObserver: buckets are keyed by hash, so relocations are
@@ -1504,8 +1314,8 @@ class Store final : private placement::RelocationObserver {
   placement::SpreadPolicy spread_;
   /// Failure-domain map for spread placement and cross-rack repair
   /// accounting; not owned. Unguarded like backend_: set under the
-  /// exclusive backend hold (set_topology), read by repair workers
-  /// while the membership thread holds the backend exclusively.
+  /// exclusive backend hold (set_topology) and read by the repair
+  /// walk under that same hold.
   const cluster::Topology* topology_ = nullptr;
   ShardIndex index_;
   /// Counted-batch consumer (protocol DES); see set_event_sink().
@@ -1532,13 +1342,10 @@ class Store final : private placement::RelocationObserver {
   /// set, and when a membership operation threw.
   bool full_dirty_ COBALT_GUARDED_BY(backend_mutex_) = false;
   std::size_t last_repair_target_ COBALT_GUARDED_BY(backend_mutex_) = 0;
-  /// Reusable desired-run buffer of the serial repair walk.
+  /// Reusable desired-run buffer of the repair walk.
   std::vector<DesiredRun> runs_scratch_ COBALT_GUARDED_BY(backend_mutex_);
-  /// Worker pool of the concurrent mode (nullptr = serial mode; see
-  /// set_thread_pool()). Unguarded: set while quiescent.
-  ThreadPool* pool_ = nullptr;
-  /// True while a pool is attached: every public call engages the
-  /// threading-model locks. Serial mode skips them entirely - the
+  /// True in concurrent mode (see set_thread_pool()): every public call
+  /// engages the threading-model locks. Serial mode skips them entirely - the
   /// single-threaded paths stay the seed's, bit for bit. Unguarded:
   /// set while quiescent.
   bool concurrent_ = false;

@@ -87,8 +87,8 @@ void HrwBackend::replica_set_into(HashIndex index, std::size_t k,
   COBALT_REQUIRE(k >= 1, "a replica set needs at least one member");
   COBALT_REQUIRE(live_nodes_ >= 1, "the backend has no nodes");
   const std::size_t cell = grid_.cell_of(index);
-  // Thread-local, not a member: the store's repair pass calls this
-  // concurrently from pool workers, and each worker keeps its own
+  // Thread-local, not a member: the store's write path calls this
+  // concurrently from writer threads, and each thread keeps its own
   // allocation-free ranking buffer.
   static thread_local std::vector<std::pair<double, NodeId>> ranked;
   ranked.clear();

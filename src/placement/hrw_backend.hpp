@@ -72,8 +72,7 @@ class HrwBackend final {
 
   /// Allocation-free replica_set (the concept's bulk-repair variant);
   /// the score ranking reuses a thread-local scratch buffer, so
-  /// concurrent const calls (the store's shard-parallel repair) are
-  /// safe.
+  /// concurrent const calls (the store's concurrent writers) are safe.
   void replica_set_into(HashIndex index, std::size_t k,
                         std::vector<NodeId>& out) const;
 

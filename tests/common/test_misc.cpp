@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/ascii_chart.hpp"
 #include "common/cli.hpp"
@@ -21,7 +24,9 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "cobalt_csv_test.csv";
+  // Process-unique: suites of two builds may share the temp directory.
+  std::string path_ = ::testing::TempDir() + "cobalt_csv_test_" +
+                      std::to_string(::getpid()) + ".csv";
 
   std::string slurp() {
     std::ifstream in(path_);

@@ -1,9 +1,9 @@
 // Tests for the store's concurrent mode (set_thread_pool): one typed
 // suite drives every placement backend through
-//   * a scripted churn run on a pooled store vs a serial reference,
-//     asserting bit-identical results - sizes, tiling, both stats
-//     channels and the full counted event-sink stream (the
-//     deterministic-merge guarantee of the shard-parallel passes);
+//   * a scripted churn run on a concurrent-mode store vs a serial
+//     reference, asserting bit-identical results - sizes, tiling, both
+//     stats channels and the full counted event-sink stream (engaging
+//     the locks must not change what the shared code computes);
 //   * exact accounting under genuinely concurrent writers; and
 //   * a contended get/put/scan/churn mix - the ThreadSanitizer
 //     workhorse (the tsan CI job runs this binary across all seven
@@ -18,7 +18,9 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -127,9 +129,9 @@ class RecordingSink final : public StoreEventSink {
 
 /// Drives one store through the scripted churn used by the determinism
 /// test: joins, bulk writes, a drain, a correlated crash, erases and a
-/// final join - every heavy pass (planned repair, relocation flush,
-/// full-scan fallback via the target change at small cluster sizes)
-/// fires at least once.
+/// final join - every membership pass (planned repair, relocation
+/// flush, full-scan fallback via the target change at small cluster
+/// sizes) fires at least once.
 template <typename StoreT>
 void run_script(StoreT& store) {
   for (int n = 0; n < 6; ++n) store.add_node();
@@ -152,38 +154,39 @@ void run_script(StoreT& store) {
   }
 }
 
-TYPED_TEST(StoreConcurrencySuite, PooledRunMatchesSerialBitForBit) {
+TYPED_TEST(StoreConcurrencySuite, ConcurrentModeMatchesSerialBitForBit) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
     auto serial = make_store<TypeParam>(4242, k);
-    auto pooled = make_store<TypeParam>(4242, k);
+    auto concurrent = make_store<TypeParam>(4242, k);
     RecordingSink serial_sink;
-    RecordingSink pooled_sink;
+    RecordingSink concurrent_sink;
     serial.set_event_sink(&serial_sink);
-    pooled.set_event_sink(&pooled_sink);
+    concurrent.set_event_sink(&concurrent_sink);
     ThreadPool pool(4);
-    pooled.set_thread_pool(&pool);
+    concurrent.set_thread_pool(&pool);
+    ASSERT_TRUE(concurrent.concurrent());
 
     run_script(serial);
-    run_script(pooled);
+    run_script(concurrent);
 
-    EXPECT_EQ(serial.size(), pooled.size()) << "k=" << k;
+    EXPECT_EQ(serial.size(), concurrent.size()) << "k=" << k;
     EXPECT_EQ(serial.shard_index().shard_count(),
-              pooled.shard_index().shard_count())
+              concurrent.shard_index().shard_count())
         << "k=" << k;
-    EXPECT_EQ(serial.keys_per_node(), pooled.keys_per_node()) << "k=" << k;
+    EXPECT_EQ(serial.keys_per_node(), concurrent.keys_per_node()) << "k=" << k;
     EXPECT_EQ(serial.replica_copies_per_node(),
-              pooled.replica_copies_per_node())
+              concurrent.replica_copies_per_node())
         << "k=" << k;
 
     const auto sm = serial.stats().relocation;
-    const auto pm = pooled.stats().relocation;
+    const auto pm = concurrent.stats().relocation;
     EXPECT_EQ(sm.keys_moved_total, pm.keys_moved_total) << "k=" << k;
     EXPECT_EQ(sm.keys_moved_across_nodes, pm.keys_moved_across_nodes)
         << "k=" << k;
     EXPECT_EQ(sm.keys_rebucketed, pm.keys_rebucketed) << "k=" << k;
 
     const ReplicationStats sr = serial.stats().replication;
-    const ReplicationStats pr = pooled.stats().replication;
+    const ReplicationStats pr = concurrent.stats().replication;
     EXPECT_EQ(sr.replica_writes, pr.replica_writes) << "k=" << k;
     EXPECT_EQ(sr.keys_rereplicated, pr.keys_rereplicated) << "k=" << k;
     EXPECT_EQ(sr.keys_lost, pr.keys_lost) << "k=" << k;
@@ -192,16 +195,16 @@ TYPED_TEST(StoreConcurrencySuite, PooledRunMatchesSerialBitForBit) {
         << "k=" << k;
     EXPECT_EQ(sr.repair_shards_total, pr.repair_shards_total) << "k=" << k;
 
-    // The counted event streams must be identical line for line: the
-    // parallel passes merge per-worker accounting and emit in plan
-    // order, so the DES consumer cannot tell the modes apart.
-    EXPECT_EQ(serial_sink.log(), pooled_sink.log()) << "k=" << k;
+    // The counted event streams must be identical line for line: both
+    // modes run the same flush loop and repair walk, so the DES
+    // consumer cannot tell them apart.
+    EXPECT_EQ(serial_sink.log(), concurrent_sink.log()) << "k=" << k;
 
     for (int i = 0; i < 700; i += 13) {
       const std::string key = "key" + std::to_string(i);
-      EXPECT_EQ(serial.get(key), pooled.get(key)) << key;
-      EXPECT_EQ(serial.replicas_of(key), pooled.replicas_of(key)) << key;
-      EXPECT_EQ(serial.read_node_of(key), pooled.read_node_of(key)) << key;
+      EXPECT_EQ(serial.get(key), concurrent.get(key)) << key;
+      EXPECT_EQ(serial.replicas_of(key), concurrent.replicas_of(key)) << key;
+      EXPECT_EQ(serial.read_node_of(key), concurrent.read_node_of(key)) << key;
     }
   }
 }
@@ -320,9 +323,9 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
     });
   }
 
-  // Churn driver: every membership event runs the shard-parallel
-  // repair and relocation flush on the pool while the readers and
-  // writers above keep hammering the store.
+  // Churn driver: every membership event runs the relocation flush
+  // and the repair walk while the readers and writers above keep
+  // hammering the store.
   // Between events, wait (bounded) for the reader/writer threads to
   // make real progress so every membership change overlaps live
   // traffic instead of racing past retired threads.
@@ -379,7 +382,7 @@ TYPED_TEST(StoreConcurrencySuite, ContendedGetsPutsScansAndChurnStayExact) {
 // periodically running a full scan and asserting *exact* per-key
 // consistency - every stable key visited exactly once per pass, never
 // duplicated into the visit stream and never hidden - while crash
-// repair and join relocation run on the pool underneath.
+// repair and join relocation run underneath.
 TYPED_TEST(StoreConcurrencySuite, ReaderHeavyMixKeepsScansExactDuringRepair) {
   auto store = make_store<TypeParam>(913, 3);
   for (int n = 0; n < 5; ++n) store.add_node();
@@ -448,7 +451,7 @@ TYPED_TEST(StoreConcurrencySuite, ReaderHeavyMixKeepsScansExactDuringRepair) {
   };
 
   // Repair drivers: alternating crashes and joins, each running the
-  // shard-parallel repair pass on the pool under the reader mix.
+  // repair walk under the reader mix.
   for (int event = 0; event < 4; ++event) {
     wait_for_mix_traffic();
     if (event % 2 == 0) {
@@ -475,7 +478,7 @@ TYPED_TEST(StoreConcurrencySuite, ReaderHeavyMixKeepsScansExactDuringRepair) {
   }
 }
 
-TYPED_TEST(StoreConcurrencySuite, PooledScanSeesAConsistentPerShardView) {
+TYPED_TEST(StoreConcurrencySuite, ConcurrentScanSeesAConsistentPerShardView) {
   auto store = make_store<TypeParam>(31, 2);
   for (int n = 0; n < 4; ++n) store.add_node();
   ThreadPool pool(2);
@@ -596,6 +599,77 @@ TEST(StoreRaceRegression, ReplicationStatsPolledDuringChurnIsCoherent) {
   poller.join();
 
   EXPECT_GT(store.stats().replication.rereplication_passes, 0u);
+}
+
+/// At every repair batch, reads a resident key from a second thread and
+/// waits (bounded) for the read: the batch is reported while the
+/// membership event still holds the store, so a read that cannot
+/// finish means the repair walk is shutting readers out.
+class ReadDuringRepairSink final : public StoreEventSink {
+ public:
+  ReadDuringRepairSink(const KvStore& store, std::string key)
+      : store_(store), key_(std::move(key)) {}
+
+  void on_repair_batch(HashIndex, HashIndex, std::uint64_t, std::uint64_t,
+                       std::size_t) override {
+    ++batches_;
+    if (stalled_) return;  // one stalled read already fails the test
+    // The future is kept past a timeout: destroying an unfinished
+    // std::async future would join the blocked read from in here.
+    reads_.push_back(std::async(std::launch::async,
+                                [this] { return store_.get(key_); }));
+    if (reads_.back().wait_for(std::chrono::seconds(5)) ==
+        std::future_status::ready) {
+      ++finished_;
+    } else {
+      stalled_ = true;
+    }
+  }
+
+  /// Joins every read (call once the membership event returned).
+  std::vector<std::optional<std::string>> results() {
+    std::vector<std::optional<std::string>> values;
+    for (auto& read : reads_) values.push_back(read.get());
+    reads_.clear();
+    return values;
+  }
+
+  [[nodiscard]] int batches() const { return batches_; }
+  [[nodiscard]] int finished() const { return finished_; }
+
+ private:
+  const KvStore& store_;
+  std::string key_;
+  std::vector<std::future<std::optional<std::string>>> reads_;
+  int batches_ = 0;
+  int finished_ = 0;
+  bool stalled_ = false;
+};
+
+// Regression: the repair walk holds the structure lock exclusively per
+// shard visit, never across the whole pass, so a point read gets
+// through while the pass reports its batches.
+TEST(StoreReaderProgress, GetCompletesWhileRepairBatchesAreReported) {
+  auto store = make_store<KvStore>(2024, 3);
+  for (int n = 0; n < 5; ++n) store.add_node();
+  for (int i = 0; i < 400; ++i) {
+    store.put("resident" + std::to_string(i), "r" + std::to_string(i));
+  }
+  ThreadPool pool(2);
+  store.set_thread_pool(&pool);
+  ReadDuringRepairSink sink(store, "resident7");
+  store.set_event_sink(&sink);
+
+  store.add_node();
+  const std::vector<placement::NodeId> dead{1};
+  store.fail_nodes(dead);
+  store.set_event_sink(nullptr);
+
+  ASSERT_GT(sink.batches(), 0);
+  EXPECT_EQ(sink.finished(), sink.batches());
+  for (const auto& value : sink.results()) {
+    EXPECT_EQ(value, std::optional<std::string>("r7"));
+  }
 }
 
 TYPED_TEST(StoreConcurrencySuite, DetachReturnsToSerialMode) {

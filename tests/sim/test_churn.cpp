@@ -1,10 +1,11 @@
-// Tests for the sustained-churn harness.
-
-#include "sim/churn.hpp"
+// Tests for sustained churn (sim::run_churn) on the two balanced-DHT
+// approaches, one vnode per node.
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "placement/dht_backend.hpp"
+#include "sim/scenario.hpp"
 
 namespace cobalt::sim {
 namespace {
@@ -18,7 +19,8 @@ dht::Config cfg(std::uint64_t pmin, std::uint64_t vmin, std::uint64_t seed) {
 }
 
 TEST(Churn, GlobalChurnNeverRefusesAndStaysBalanced) {
-  const auto result = run_global_churn(cfg(8, 1, 1), 40, 100);
+  placement::GlobalDhtBackend backend({cfg(8, 1, 1), 1});
+  const auto result = run_churn(backend, 40, 100, 1);
   EXPECT_EQ(result.refused_removals, 0u);
   EXPECT_EQ(result.completed_removals, 100u);
   ASSERT_EQ(result.sigma_series.size(), 100u);
@@ -28,10 +30,11 @@ TEST(Churn, GlobalChurnNeverRefusesAndStaysBalanced) {
 }
 
 TEST(Churn, LocalChurnKeepsPopulationAndSanity) {
-  const auto result = run_local_churn(cfg(8, 8, 2), 64, 150);
+  placement::LocalDhtBackend backend({cfg(8, 8, 2), 1});
+  const auto result = run_churn(backend, 64, 150, 2);
   EXPECT_EQ(result.sigma_series.size(), 150u);
   EXPECT_GT(result.completed_removals, 0u);
-  EXPECT_GT(result.final_groups, 0u);
+  EXPECT_GT(backend.dht().group_count(), 0u);
   for (const double sigma : result.sigma_series) {
     EXPECT_GE(sigma, 0.0);
     EXPECT_LT(sigma, 1.0);
@@ -43,13 +46,15 @@ TEST(Churn, RefusalsAreRareWithRoomyGroups) {
   // intra-group redistribution; refusals can only come from the
   // (rarely infeasible) count bound, which the single group's complete
   // buddy set always satisfies.
-  const auto result = run_local_churn(cfg(8, 64, 3), 48, 100);
+  placement::LocalDhtBackend backend({cfg(8, 64, 3), 1});
+  const auto result = run_churn(backend, 48, 100, 3);
   EXPECT_EQ(result.refused_removals, 0u);
-  EXPECT_EQ(result.final_groups, 1u);
+  EXPECT_EQ(backend.dht().group_count(), 1u);
 }
 
 TEST(Churn, SigmaStaysBoundedUnderSustainedLocalChurn) {
-  const auto result = run_local_churn(cfg(32, 32, 4), 128, 200);
+  placement::LocalDhtBackend backend({cfg(32, 32, 4), 1});
+  const auto result = run_churn(backend, 128, 200, 4);
   double late = 0.0;
   for (std::size_t i = 150; i < 200; ++i) late += result.sigma_series[i];
   late /= 50.0;
@@ -59,15 +64,19 @@ TEST(Churn, SigmaStaysBoundedUnderSustainedLocalChurn) {
 }
 
 TEST(Churn, DeterministicPerSeed) {
-  const auto a = run_local_churn(cfg(8, 8, 7), 40, 60);
-  const auto b = run_local_churn(cfg(8, 8, 7), 40, 60);
+  placement::LocalDhtBackend first({cfg(8, 8, 7), 1});
+  placement::LocalDhtBackend second({cfg(8, 8, 7), 1});
+  const auto a = run_churn(first, 40, 60, 7);
+  const auto b = run_churn(second, 40, 60, 7);
   EXPECT_EQ(a.sigma_series, b.sigma_series);
   EXPECT_EQ(a.refused_removals, b.refused_removals);
 }
 
 TEST(Churn, Validation) {
-  EXPECT_THROW((void)run_local_churn(cfg(8, 8, 1), 1, 10), InvalidArgument);
-  EXPECT_THROW((void)run_global_churn(cfg(8, 1, 1), 0, 10), InvalidArgument);
+  placement::LocalDhtBackend local({cfg(8, 8, 1), 1});
+  placement::GlobalDhtBackend global({cfg(8, 1, 1), 1});
+  EXPECT_THROW((void)run_churn(local, 1, 10, 1), InvalidArgument);
+  EXPECT_THROW((void)run_churn(global, 0, 10, 1), InvalidArgument);
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 #include "sim/serving.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -152,7 +154,9 @@ TYPED_TEST(ServingStoreSuite, SameSeedRunsEmitByteIdenticalCsvs) {
   spec.requests = 1500;
   spec.arrival_rate_rps = 50000.0;
   spec.write_fraction = 0.2;
-  const std::string base = ::testing::TempDir() + "cobalt_serving_";
+  // Process-unique: suites of two builds may share the temp directory.
+  const std::string base = ::testing::TempDir() + "cobalt_serving_" +
+                           std::to_string(::getpid()) + "_";
   std::array<std::string, 2> latency_paths;
   std::array<std::string, 2> node_paths;
   for (int run = 0; run < 2; ++run) {
@@ -172,6 +176,10 @@ TYPED_TEST(ServingStoreSuite, SameSeedRunsEmitByteIdenticalCsvs) {
   const std::string nodes_a = slurp(node_paths[0]);
   EXPECT_FALSE(nodes_a.empty());
   EXPECT_EQ(nodes_a, slurp(node_paths[1]));
+  for (int run = 0; run < 2; ++run) {
+    std::remove(latency_paths[run].c_str());
+    std::remove(node_paths[run].c_str());
+  }
 }
 
 TEST(ServingSim, ClosedLoopServesTheStreamBackToBack) {
